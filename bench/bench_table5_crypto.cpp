@@ -99,6 +99,10 @@ int main(int argc, char** argv) {
                   1000.0);
   std::printf("\n  host-side measurements of the real primitives follow:\n\n");
 
+#ifdef TINYEVM_BUILD_TYPE
+  // The project's build type, not libbenchmark's (see bench_ablation_vm).
+  benchmark::AddCustomContext("tinyevm_build_type", TINYEVM_BUILD_TYPE);
+#endif
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

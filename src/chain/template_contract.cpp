@@ -65,25 +65,42 @@ std::optional<U256> TemplateContract::create_payment_channel(
 }
 
 TemplateStatus TemplateContract::validate_commit(
-    const channel::SignedState& state, ChannelRecord& rec) {
+    const channel::SignedState& state, const ChannelRecord& rec) const {
   if (rec.closed) return TemplateStatus::ChannelClosed;
   // Both parties must have signed exactly this digest.
   if (!state.verify(rec.sender, rec.receiver)) {
     return TemplateStatus::BadSignature;
   }
-  // Logical clock: only strictly newer states advance the channel.
-  if (state.state.sequence <= rec.highest_sequence) {
+  // The off-chain transition rule against the best commit, without the
+  // hash link (a commit may skip states) and capped by the deposit.
+  const channel::Head head{.channel_id = state.state.channel_id,
+                           .sequence = rec.highest_sequence,
+                           .paid_total = rec.committed_total,
+                           .link = std::nullopt,
+                           .cap = rec.deposit};
+  const channel::StepStatus status = channel::step(head, state.state);
+  if (status == channel::StepStatus::StaleSequence) {
     return TemplateStatus::StaleSequence;
   }
-  // Sum audit: cumulative payments can never exceed the locked funds.
-  if (state.state.paid_total > rec.deposit) {
-    return TemplateStatus::OverLockedFunds;
-  }
-  // Monotonicity of money: a newer state cannot pay less.
-  if (state.state.paid_total < rec.committed_total) {
+  // A shrinking total or one over the deposit: the sum audit fails.
+  if (status != channel::StepStatus::Ok) {
     return TemplateStatus::OverLockedFunds;
   }
   return TemplateStatus::Ok;
+}
+
+void TemplateContract::record_commit(const channel::SignedState& state,
+                                     ChannelRecord& rec) {
+  // "Reporting a state with a higher sequence number accumulates the
+  // changes of the previous states" — the delta joins the sum tree so the
+  // root always carries the total committed value.
+  const Hash256 digest = state.state.digest();
+  const U256 delta = state.state.paid_total - rec.committed_total;
+  rec.latest_leaf = tree_.append(delta, digest);
+  rec.committed_delta = delta;
+  rec.highest_sequence = state.state.sequence;
+  rec.committed_total = state.state.paid_total;
+  rec.committed_digest = digest;
 }
 
 TemplateStatus TemplateContract::on_chain_commit(
@@ -94,17 +111,7 @@ TemplateStatus TemplateContract::on_chain_commit(
 
   const TemplateStatus status = validate_commit(state, rec);
   if (status != TemplateStatus::Ok) return status;
-
-  // "Reporting a state with a higher sequence number accumulates the
-  // changes of the previous states" — the delta joins the sum tree so the
-  // root always carries the total committed value.
-  const U256 delta = state.state.paid_total - rec.committed_total;
-  rec.latest_leaf = tree_.append(delta, state.state.digest());
-  rec.committed_delta = delta;
-
-  rec.highest_sequence = state.state.sequence;
-  rec.committed_total = state.state.paid_total;
-  rec.committed_digest = state.state.digest();
+  record_commit(state, rec);
   return TemplateStatus::Ok;
 }
 
@@ -143,16 +150,8 @@ TemplateStatus TemplateContract::challenge(
   if (chain_.height() > rec.challenge_deadline) {
     return TemplateStatus::NotInChallenge;
   }
-  if (!newer_state.verify(rec.sender, rec.receiver)) {
-    return TemplateStatus::BadSignature;
-  }
-  if (newer_state.state.sequence <= rec.highest_sequence) {
-    return TemplateStatus::StaleSequence;
-  }
-  if (newer_state.state.paid_total > rec.deposit ||
-      newer_state.state.paid_total < rec.committed_total) {
-    return TemplateStatus::OverLockedFunds;
-  }
+  const TemplateStatus status = validate_commit(newer_state, rec);
+  if (status != TemplateStatus::Ok) return status;
 
   // Fraud proven: the party that tried to settle on the stale state loses.
   // Only the payer posts insurance in this template (Listing 1), so the
@@ -168,12 +167,7 @@ TemplateStatus TemplateContract::challenge(
     }
   }
 
-  const U256 delta = newer_state.state.paid_total - rec.committed_total;
-  rec.latest_leaf = tree_.append(delta, newer_state.state.digest());
-  rec.committed_delta = delta;
-  rec.highest_sequence = newer_state.state.sequence;
-  rec.committed_total = newer_state.state.paid_total;
-  rec.committed_digest = newer_state.state.digest();
+  record_commit(newer_state, rec);
   return TemplateStatus::Ok;
 }
 

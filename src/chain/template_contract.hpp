@@ -137,8 +137,12 @@ class TemplateContract : public NativeContract {
                                          data) override;
 
  private:
+  /// Signatures, then channel::step against the channel's best commit.
   TemplateStatus validate_commit(const channel::SignedState& state,
-                                 ChannelRecord& rec);
+                                 const ChannelRecord& rec) const;
+  /// Appends a validated state's delta to the sum tree and makes it the
+  /// channel's best commit.
+  void record_commit(const channel::SignedState& state, ChannelRecord& rec);
 
   Blockchain& chain_;
   Address self_;

@@ -253,19 +253,25 @@ std::optional<SignedState> ChannelSession::make_payment(evm::Vm& vm,
 
 std::optional<Signature> ChannelSession::countersign(const ChannelState& state,
                                                      const PrivateKey& key) {
-  if (state.channel_id != channel_id_) return std::nullopt;
-  if (state.prev_hash != log_.head()) return std::nullopt;
-  // Validate against the latest state of *this* channel — sequence numbers
-  // are per-channel logical clocks, and a node may have older channels'
-  // states in the same log (§IV-A).
-  for (auto it = log_.entries().rbegin(); it != log_.entries().rend(); ++it) {
-    if (it->state.channel_id != state.channel_id) continue;
-    if (state.sequence <= it->state.sequence) return std::nullopt;
-    if (state.paid_total < it->state.paid_total) return std::nullopt;
-    break;
-  }
+  if (step(head(), state) != StepStatus::Ok) return std::nullopt;
   ++stats_.signatures;
   return secp256k1::sign(state.digest(), key);
+}
+
+HubStatus ChannelSession::countersign_payment(SignedState& proposal,
+                                              const PrivateKey& key) {
+  if (step(head(), proposal.state) != StepStatus::Ok) {
+    return HubStatus::BadState;
+  }
+  const Hash256 digest = proposal.state.digest();
+  ++stats_.verifications;
+  if (!secp256k1::recover_address(digest, proposal.sender_sig)) {
+    return HubStatus::BadSignature;
+  }
+  ++stats_.signatures;
+  proposal.receiver_sig = secp256k1::sign(digest, key);
+  log_.append(proposal);  // cannot fail: step accepted it against this head
+  return HubStatus::Ok;
 }
 
 bool ChannelSession::accept(const SignedState& signed_state) {
@@ -523,16 +529,10 @@ HubResponse ChannelHub::serve(const PaymentUpdate& request) {
     return reject(HubStatus::ChannelClosed, HubResponseKind::Payment,
                   request.channel_id);
   }
-  const auto counter = slot->session.countersign(request.proposal.state, key_);
-  if (!counter) {
-    return reject(HubStatus::BadState, HubResponseKind::Payment,
-                  request.channel_id);
-  }
   SignedState full = request.proposal;
-  full.receiver_sig = *counter;
-  if (!slot->session.accept(full)) {
-    return reject(HubStatus::BadSignature, HubResponseKind::Payment,
-                  request.channel_id);
+  const HubStatus status = slot->session.countersign_payment(full, key_);
+  if (status != HubStatus::Ok) {
+    return reject(status, HubResponseKind::Payment, request.channel_id);
   }
   payments_.fetch_add(1, std::memory_order_relaxed);
   HubResponse response;
@@ -600,8 +600,9 @@ HubResponse ChannelHub::handle(const HubRequest& request) {
     return shutdown_busy(kind_of(request), channel_of(request));
   }
   if (std::holds_alternative<PaymentUpdate>(request)) {
-    // Countersigning is pure ECDSA + log work; don't queue ~6 ms of it
-    // behind the bounded interpreter set the request never touches.
+    // Countersigning is pure ECDSA + log work (a recover and a sign);
+    // don't queue it behind the bounded interpreter set the request never
+    // touches.
     return dispatch(request, nullptr);
   }
   // Time the lease wait — with every Vm out, this is where a request

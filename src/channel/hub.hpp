@@ -136,6 +136,23 @@ struct EndpointStats {
   std::uint64_t states_signed = 0;
 };
 
+/// How the hub answered a request (HubResponse::status).
+enum class HubStatus : std::uint8_t {
+  Ok,
+  UnknownChannel,    ///< no session under this channel id
+  DuplicateChannel,  ///< open for a channel id already served
+  ChannelClosed,     ///< payment/close after the session closed
+  VmFailure,         ///< template execution failed on the hub side
+  BadState,          ///< proposal refused by channel::step (replay,
+                     ///< regression, broken link, other channel)
+  BadSignature,      ///< the proposal's sender signature does not recover
+  Busy,              ///< overload shed: hub shutting down, or the socket
+                     ///< front-end's per-connection budget was exceeded —
+                     ///< retry after backoff
+};
+
+[[nodiscard]] std::string_view to_string(HubStatus s);
+
 /// One side of one payment channel: the local contract instance, the
 /// hash-linked side-chain log, and the signing/validation state machine —
 /// everything *except* the interpreter and the private key, which the
@@ -173,12 +190,26 @@ class ChannelSession {
   std::optional<SignedState> make_payment(evm::Vm& vm, const PrivateKey& key,
                                           const U256& units);
 
-  /// Countersigns a peer-proposed state after re-validating it against the
-  /// local log (monotone sequence, non-decreasing paid_total, hash link).
+  /// This channel's head in the local log — what channel::step checks a
+  /// proposed next state against.
+  [[nodiscard]] Head head() const { return log_.head_of(channel_id_); }
+
+  /// Countersigns a peer-proposed state when channel::step accepts it
+  /// against head() (same channel, extends the log head, advances the
+  /// sequence, never pays less); nullopt otherwise. Recovers nothing.
   std::optional<Signature> countersign(const ChannelState& state,
                                        const PrivateKey& key);
 
-  /// Records a fully-signed state into the local side-chain log.
+  /// Hub side of one payment round, in the order that keeps the hub from
+  /// signing what it has not checked: channel::step against head()
+  /// (BadState), one recover of the sender's signature (BadSignature),
+  /// then the countersignature and the log append. Sets
+  /// `proposal.receiver_sig` on Ok; the hub never recovers its own
+  /// fresh signature.
+  HubStatus countersign_payment(SignedState& proposal, const PrivateKey& key);
+
+  /// Records a fully-signed state into the local side-chain log after
+  /// recovering both signatures.
   bool accept(const SignedState& signed_state);
 
   /// Runs close() on the local contract and returns the final state to be
@@ -209,21 +240,6 @@ class ChannelSession {
 // Wire surface
 // ---------------------------------------------------------------------------
 
-enum class HubStatus : std::uint8_t {
-  Ok,
-  UnknownChannel,    ///< no session under this channel id
-  DuplicateChannel,  ///< open for a channel id already served
-  ChannelClosed,     ///< payment/close after the session closed
-  VmFailure,         ///< template execution failed on the hub side
-  BadState,          ///< proposal failed log validation (replay, regression)
-  BadSignature,      ///< countersigned state failed recovery / append
-  Busy,              ///< overload shed: hub shutting down, or the socket
-                     ///< front-end's per-connection budget was exceeded —
-                     ///< retry after backoff
-};
-
-[[nodiscard]] std::string_view to_string(HubStatus s);
-
 /// Open a channel: the hub instantiates its side of the template with the
 /// negotiated rate, sampling `sensor_device` in the constructor.
 struct OpenRequest {
@@ -236,8 +252,8 @@ struct OpenRequest {
 };
 
 /// One payment round: the endpoint's half-signed next channel state. The
-/// hub validates it against the session log, countersigns, records it, and
-/// returns the fully-signed state.
+/// hub checks it against the session log, recovers the sender signature,
+/// then countersigns, records it, and returns the fully-signed state.
 struct PaymentUpdate {
   U256 channel_id;
   SignedState proposal;  ///< sender_sig set; receiver_sig empty

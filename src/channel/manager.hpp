@@ -66,11 +66,13 @@ class ChannelEndpoint {
   /// then build and sign the next channel state. The peer countersigns.
   std::optional<SignedState> make_payment(const U256& units);
 
-  /// Countersigns a peer-proposed state after re-validating it against the
-  /// local log (monotone sequence, non-decreasing paid_total, hash link).
+  /// Countersigns a peer-proposed state when channel::step accepts it
+  /// against this channel's head in the local log (same channel, extends
+  /// the log head, advances the sequence, never pays less).
   std::optional<Signature> countersign(const ChannelState& state);
 
-  /// Records a fully-signed state into the local side-chain log.
+  /// Records a fully-signed state into the local side-chain log: both
+  /// signatures must recover and channel::step must accept the state.
   bool accept(const SignedState& signed_state);
 
   /// Runs close() on the local contract and returns the final state to be
@@ -105,11 +107,13 @@ class ChannelEndpoint {
   }
 
   /// Ingests a hub response for this endpoint's channel, switching on the
-  /// response kind: a countersigned payment state is verified and appended
-  /// to the local log; open acknowledgements and hub-final close artifacts
-  /// (hub signature only) just report success. False when the hub rejected
-  /// the request, the channel id is not this endpoint's, or the state
-  /// fails verification.
+  /// response kind: a countersigned payment state goes through accept()
+  /// (both signatures recover, channel::step accepts it against the local
+  /// log); open acknowledgements and hub-final close artifacts (hub
+  /// signature only) just report success. False when the hub rejected the
+  /// request, the channel id is not this endpoint's, or accept() refuses
+  /// the state. The hub's signature is recovered, not yet checked against
+  /// a known hub address.
   bool apply(const HubResponse& response);
 
  private:

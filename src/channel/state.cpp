@@ -1,6 +1,6 @@
 #include "channel/state.hpp"
 
-#include <map>
+#include <algorithm>
 #include <stdexcept>
 
 namespace tinyevm::channel {
@@ -60,34 +60,46 @@ bool SignedState::verify(const Address& sender,
          signers->receiver == receiver;
 }
 
-bool SideChainLog::append(const SignedState& signed_state) {
-  if (signed_state.state.prev_hash != head_) return false;
-  // Sequence numbers are the per-channel logical clock: they must advance
-  // within a channel, while a fresh channel may restart at 1 ("the nodes
-  // can open and close an arbitrary number of payment channels", §IV-A).
-  for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
-    if (it->state.channel_id != signed_state.state.channel_id) continue;
-    if (signed_state.state.sequence <= it->state.sequence) return false;
-    break;
+StepStatus step(const Head& head, const ChannelState& next) {
+  if (next.channel_id != head.channel_id) return StepStatus::WrongChannel;
+  if (head.link && next.prev_hash != *head.link) return StepStatus::BrokenLink;
+  if (next.sequence <= head.sequence) return StepStatus::StaleSequence;
+  if (next.paid_total < head.paid_total) return StepStatus::ShrinkingTotal;
+  if (head.cap && next.paid_total > *head.cap) return StepStatus::OverCap;
+  return StepStatus::Ok;
+}
+
+Head SideChainLog::head_of(const U256& channel_id) const {
+  Head head;
+  head.channel_id = channel_id;
+  head.link = head_;
+  // Sequence numbers are per-channel logical clocks: a fresh channel
+  // restarts at 1 ("the nodes can open and close an arbitrary number of
+  // payment channels", §IV-A).
+  const auto latest = std::find_if(
+      entries_.rbegin(), entries_.rend(),
+      [&](const SignedState& e) { return e.state.channel_id == channel_id; });
+  if (latest != entries_.rend()) {
+    head.sequence = latest->state.sequence;
+    head.paid_total = latest->state.paid_total;
   }
-  head_ = signed_state.state.digest();
+  return head;
+}
+
+bool SideChainLog::append(const SignedState& signed_state) {
+  const ChannelState& state = signed_state.state;
+  if (step(head_of(state.channel_id), state) != StepStatus::Ok) return false;
+  head_ = state.digest();
   entries_.push_back(signed_state);
   return true;
 }
 
 bool SideChainLog::audit(const Hash256& genesis) const {
-  Hash256 expected = genesis;
-  std::map<U256, std::uint64_t> channel_clocks;
+  SideChainLog replay(genesis);
   for (const SignedState& entry : entries_) {
-    if (entry.state.prev_hash != expected) return false;
-    const auto it = channel_clocks.find(entry.state.channel_id);
-    if (it != channel_clocks.end() && entry.state.sequence <= it->second) {
-      return false;
-    }
-    channel_clocks[entry.state.channel_id] = entry.state.sequence;
-    expected = entry.state.digest();
+    if (!replay.append(entry)) return false;
   }
-  return expected == head_;
+  return replay.head() == head_;
 }
 
 }  // namespace tinyevm::channel

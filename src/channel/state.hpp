@@ -66,9 +66,37 @@ struct SignedState {
   friend bool operator==(const SignedState& a, const SignedState& b) = default;
 };
 
+/// What a channel has agreed so far — the state its next state must
+/// succeed. Off chain the link is the log head; on chain it is absent
+/// (commits may skip states) and the deposit caps the total instead.
+struct Head {
+  U256 channel_id;
+  std::uint64_t sequence = 0;    ///< 0 = no state yet
+  U256 paid_total;
+  std::optional<Hash256> link;   ///< expected prev_hash; absent on chain
+  std::optional<U256> cap;       ///< the deposit; present only on chain
+};
+
+/// Why `step` refused a state, in the order it checks.
+enum class StepStatus : std::uint8_t {
+  Ok,
+  WrongChannel,    ///< state names another channel
+  BrokenLink,      ///< prev_hash does not extend the head
+  StaleSequence,   ///< sequence does not advance the logical clock
+  ShrinkingTotal,  ///< paid_total below the head's
+  OverCap,         ///< paid_total above the deposit
+};
+
+/// The channel transition rule, the one place it is written: `next` may
+/// follow `head` when it names the same channel, extends the link (when
+/// the caller tracks one), advances the sequence, never pays less, and
+/// stays within the cap (when the caller knows one). Pure: no ECDSA.
+[[nodiscard]] StepStatus step(const Head& head, const ChannelState& next);
+
 /// Device-local, hash-linked side-chain log: "each execution of the payment
 /// channel extends the local (side-chain) log of the node, which links each
-/// state with the previous" (§IV-D).
+/// state with the previous" (§IV-D). One log may hold several channels in
+/// turn; each keeps its own logical clock.
 class SideChainLog {
  public:
   /// The genesis link anchors at the on-chain root published with the
@@ -78,8 +106,12 @@ class SideChainLog {
   /// Hash expected in the next state's prev_hash field.
   [[nodiscard]] const Hash256& head() const { return head_; }
 
-  /// Appends; false when the state's prev_hash does not extend the head or
-  /// its sequence does not advance the log.
+  /// `channel_id`'s head in this log: its latest state's sequence and
+  /// total (zero when it has none), linked to the log head.
+  [[nodiscard]] Head head_of(const U256& channel_id) const;
+
+  /// Appends when `step` accepts the state against its channel's head;
+  /// false otherwise. Signatures are the caller's concern.
   bool append(const SignedState& signed_state);
 
   [[nodiscard]] const std::vector<SignedState>& entries() const {
@@ -91,8 +123,8 @@ class SideChainLog {
     return entries_.back();
   }
 
-  /// Verifies the whole chain of hash links from the genesis anchor —
-  /// "ensures that no transactions are omitted".
+  /// Replays the log from the genesis anchor through `step` — "ensures
+  /// that no transactions are omitted".
   [[nodiscard]] bool audit(const Hash256& genesis) const;
 
  private:

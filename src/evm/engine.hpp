@@ -55,9 +55,8 @@ enum class Status : std::uint8_t {
 enum class EngineRevision : std::uint8_t { Ethereum, TinyEvm };
 
 /// The flat execution-semantics descriptor engines consume — the
-/// EVMC-revision analogue of VmConfig, without the dispatch-strategy
-/// plumbing (predecode / elide_checks / engine name) that selects an
-/// engine rather than parameterizing one.
+/// EVMC-revision analogue of VmConfig, without the engine name that
+/// selects an engine rather than parameterizing one.
 struct EngineProfile {
   EngineRevision revision = EngineRevision::TinyEvm;
   std::size_t stack_limit = 96;      ///< elements (96 * 32 B = 3 KB)

@@ -18,15 +18,9 @@ namespace tinyevm::evm {
 
 namespace {
 
-/// Resolves the configured engine name, mapping the legacy
-/// predecode/elide_checks flag pair when no name is given: raw when
-/// predecode is off, checked dispatch when elision is off, the span fast
-/// path otherwise. An explicit VmConfig::engine always wins.
+/// Resolves the configured engine name; empty means the span fast path.
 std::string_view engine_for(const VmConfig& config) {
-  if (!config.engine.empty()) return config.engine;
-  if (!config.predecode) return kRawEngine;
-  if (!config.elide_checks) return kPredecodedEngine;
-  return kElidedEngine;
+  return config.engine.empty() ? kElidedEngine : config.engine;
 }
 
 /// Registry instruments for one engine, interned once per engine name so

@@ -8,10 +8,9 @@
 //
 // Execution itself happens behind the EVMC-style boundary in engine.hpp:
 // Vm resolves an ExecutionEngine from the registry (by VmConfig::engine,
-// with the legacy predecode/elide_checks flags as the fallback mapping),
-// consults the translation cache when the engine wants a pre-decoded
-// stream, and dispatches — Vm::execute is cache lookup + engine dispatch,
-// nothing more.
+// "elided" when empty), consults the translation cache when the engine
+// wants a pre-decoded stream, and dispatches — Vm::execute is cache
+// lookup + engine dispatch, nothing more.
 #pragma once
 
 #include <cstdint>
@@ -47,22 +46,10 @@ struct VmConfig {
   /// Gas bounds on-chain execution; off-chain the mote's watchdog timer
   /// plays that role — without it a buggy contract would wedge the device.
   std::uint64_t max_ops = 50'000'000;
-  /// Legacy engine-selection flag: lower bytecode to a cached pre-decoded
-  /// instruction stream before executing (see decoded.hpp /
-  /// code_cache.hpp). Consulted only when `engine` is empty — off maps to
-  /// the "raw" engine. Not part of the semantics: every engine must
+  /// Execution engine name (EngineRegistry). Empty = the default,
+  /// "elided"; unknown names make the Vm constructor throw
+  /// std::invalid_argument. Not part of the semantics: every engine must
   /// produce bit-identical results (tests/evm_dispatch_test.cpp).
-  bool predecode = true;
-  /// Legacy engine-selection flag: use the translation's static-analysis
-  /// spans (decoded.hpp::ElideSpan) to replace per-instruction
-  /// stack/gas/watchdog branches with one test per basic block where the
-  /// analyzer proved them redundant. Consulted only when `engine` is
-  /// empty — predecode without elision maps to "predecoded", with it to
-  /// "elided". Also not semantics: results stay bit-identical either way.
-  bool elide_checks = true;
-  /// Execution engine name (EngineRegistry). Empty = derive from the
-  /// legacy predecode/elide_checks flags above; unknown names make the Vm
-  /// constructor throw std::invalid_argument.
   std::string engine;
 
   /// Original EVM (Istanbul-era) semantics.
@@ -77,8 +64,6 @@ struct VmConfig {
                     .gas_introspection = true,
                     .max_call_depth = 1024,
                     .max_ops = 0,
-                    .predecode = true,
-                    .elide_checks = true,
                     .engine = {}};
   }
   /// The paper's MCU configuration (§VI-A).

@@ -8,6 +8,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "channel/manager.hpp"
@@ -83,23 +84,17 @@ TEST(EngineRegistry, UnknownNamesAreRejectedEverywhere) {
   EXPECT_THROW((void)vm.execute(host, msg), std::invalid_argument);
 }
 
-TEST(EngineRegistry, LegacyFlagsMapOntoEngines) {
+TEST(EngineRegistry, EngineNamesSelectEngines) {
   VmConfig config = VmConfig::tiny();
-  config.predecode = false;
-  EXPECT_EQ(Vm{config}.engine_name(), kRawEngine);
-
-  config.predecode = true;
-  config.elide_checks = false;
-  EXPECT_EQ(Vm{config}.engine_name(), kPredecodedEngine);
-
-  config.elide_checks = true;
+  // An empty name means the default engine.
   EXPECT_EQ(Vm{config}.engine_name(), kElidedEngine);
+  EXPECT_EQ(Vm{VmConfig::ethereum()}.engine_name(), kElidedEngine);
 
-  // An explicit engine name always beats the legacy flags.
-  config.predecode = false;
-  config.elide_checks = false;
-  config.engine = kElidedEngine;
-  EXPECT_EQ(Vm{config}.engine_name(), kElidedEngine);
+  for (const std::string_view name :
+       {kRawEngine, kPredecodedEngine, kElidedEngine}) {
+    config.engine = name;
+    EXPECT_EQ(Vm{config}.engine_name(), name);
+  }
 }
 
 TEST(EngineRegistry, PerCallOverrideBeatsTheConfiguredDefault) {

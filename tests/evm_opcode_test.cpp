@@ -69,6 +69,10 @@ struct BinOpCase {
   std::uint64_t expected;
 };
 
+// Without a printer gtest dumps the struct's raw bytes, pointer included,
+// into the test's listed parameter, and the ctest name changes per build.
+void PrintTo(const BinOpCase& c, std::ostream* os) { *os << c.name; }
+
 class BinaryOpTest : public ::testing::TestWithParam<BinOpCase> {};
 
 TEST_P(BinaryOpTest, ComputesExpected) {

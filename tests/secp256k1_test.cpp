@@ -186,12 +186,17 @@ TEST(Keys, SeedDerivationIsDeterministic) {
 // RFC 6979 deterministic-nonce vectors for secp256k1 with SHA-256
 // (the de-facto standard set used by trezor/bitcoin-core test suites).
 struct Rfc6979Vector {
+  const char* name;
   const char* key_hex;
   const char* message;
   const char* k_hex;
   const char* r_hex;
   const char* s_hex;
 };
+
+// Without a printer gtest dumps the struct's raw bytes (pointers) into the
+// test's listed parameter, and the ctest name changes per build.
+void PrintTo(const Rfc6979Vector& v, std::ostream* os) { *os << v.name; }
 
 class Rfc6979Test : public ::testing::TestWithParam<Rfc6979Vector> {};
 
@@ -216,12 +221,14 @@ INSTANTIATE_TEST_SUITE_P(
     StandardVectors, Rfc6979Test,
     ::testing::Values(
         Rfc6979Vector{
+            "key1_satoshi",
             "0000000000000000000000000000000000000000000000000000000000000001",
             "Satoshi Nakamoto",
             "8f8a276c19f4149656b280621e358cce24f5f52542772691ee69063b74f15d15",
             "934b1ea10a4b3c1757e2b0c017d0b6143ce3c9a7e6a4a49860d7a6ab210ee3d8",
             "2442ce9d2b916064108014783e923ec36b49743e2ffa1c4496f01a512aafd9e5"},
         Rfc6979Vector{
+            "key1_tears_in_rain",
             "0000000000000000000000000000000000000000000000000000000000000001",
             "All those moments will be lost in time, like tears in rain. Time"
             " to die...",
@@ -229,6 +236,7 @@ INSTANTIATE_TEST_SUITE_P(
             "8600dbd41e348fe5c9465ab92d23e3db8b98b873beecd930736488696438cb6b",
             "547fe64427496db33bf66019dacbf0039c04199abb0122918601db38a72cfc21"},
         Rfc6979Vector{
+            "keyNminus1_satoshi",
             "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364140",
             "Satoshi Nakamoto",
             "33a19b60e25fb6f4435af53a3d42d493644827367e6453928554f43e49aa6f90",

@@ -29,6 +29,17 @@ void handle_signal(int) {
   if (g_server != nullptr) g_server->request_stop();
 }
 
+/// Writes the port through a temp file and rename(), so a poller never
+/// reads a partly written file.
+bool write_port_file(const std::string& path, std::uint16_t port) {
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "w");
+  if (f == nullptr) return false;
+  const bool written = std::fprintf(f, "%u\n", port) > 0;
+  if (std::fclose(f) != 0 || !written) return false;
+  return std::rename(tmp.c_str(), path.c_str()) == 0;
+}
+
 void usage() {
   std::printf(
       "usage: tinyevm-hubd [options]\n"
@@ -144,6 +155,15 @@ int main(int argc, char** argv) {
   server_config.bind_address = bind_address;
   server_config.port = port;
   net::HubServer server(hub, server_config);
+  // Handlers go in before bind(): once the port file exists a client may
+  // signal at once, and a stop requested before serve() is kept by the
+  // event loop until its run() checks it.
+  g_server = &server;
+  struct sigaction sa{};
+  sa.sa_handler = handle_signal;
+  ::sigaction(SIGINT, &sa, nullptr);
+  ::sigaction(SIGTERM, &sa, nullptr);
+
   std::uint16_t bound = 0;
   try {
     bound = server.bind();
@@ -152,25 +172,13 @@ int main(int argc, char** argv) {
                  port, e.what());
     return 1;
   }
-  if (!port_file.empty()) {
-    std::FILE* f = std::fopen(port_file.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write port file '%s'\n",
-                   port_file.c_str());
-      return 1;
-    }
-    std::fprintf(f, "%u\n", bound);
-    std::fclose(f);
+  if (!port_file.empty() && !write_port_file(port_file, bound)) {
+    std::fprintf(stderr, "cannot write port file '%s'\n", port_file.c_str());
+    return 1;
   }
   std::printf("tinyevm-hubd listening on %s:%u (%zu workers)\n",
               bind_address.c_str(), bound, hub.worker_count());
   std::fflush(stdout);
-
-  g_server = &server;
-  struct sigaction sa{};
-  sa.sa_handler = handle_signal;
-  ::sigaction(SIGINT, &sa, nullptr);
-  ::sigaction(SIGTERM, &sa, nullptr);
 
   server.serve();
 
