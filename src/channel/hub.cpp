@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <type_traits>
 #include <unordered_map>
 
@@ -60,8 +61,8 @@ struct ChannelHub::Instruments {
     }
     queue_us = &registry.histogram(
         "tinyevm_hub_queue_us",
-        "Wait before a worker started on a request (Vm lease / batch "
-        "position), microseconds",
+        "Wait from submit to the moment a worker started on a request, "
+        "microseconds",
         {{"hub", hub}});
   }
 
@@ -325,6 +326,24 @@ std::string_view to_string(HubStatus s) {
   return "?";
 }
 
+namespace {
+
+const U256& channel_of(const HubRequest& request) {
+  return std::visit([](const auto& r) -> const U256& { return r.channel_id; },
+                    request);
+}
+
+}  // namespace
+
+HubResponse busy_response(const HubRequest& request) {
+  HubResponse response;
+  response.status = HubStatus::Busy;
+  // Variant order == kind order (see ChannelHub::dispatch()).
+  response.kind = static_cast<HubResponseKind>(request.index());
+  response.channel_id = channel_of(request);
+  return response;
+}
+
 // ---- ChannelHub ----
 
 ChannelHub::ChannelHub(std::string name, const PrivateKey& key,
@@ -337,16 +356,23 @@ ChannelHub::ChannelHub(std::string name, const PrivateKey& key,
       key_(key),
       onchain_root_(onchain_root),
       vm_config_(config.vm_config),
+      batch_max_(config.batch_max != 0
+                     ? config.batch_max
+                     : throw std::invalid_argument(
+                           "ChannelHub: batch_max must be at least 1")),
       cache_(config.code_cache ? std::move(config.code_cache)
                                : evm::CodeCache::shared_default()),
       pool_(config.workers) {
   if (!config.engine.empty()) vm_config_.engine = config.engine;
   const std::size_t workers = pool_.thread_count();
   vms_.reserve(workers);
-  free_vms_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    vms_.push_back(std::make_unique<evm::Vm>(vm_config_, cache_));
-    free_vms_.push_back(vms_.back().get());
+  {
+    runtime::MutexLock lock(vm_mu_);
+    free_vms_.reserve(workers);
+    for (std::size_t i = 0; i < workers; ++i) {
+      vms_.push_back(std::make_unique<evm::Vm>(vm_config_, cache_));
+      free_vms_.push_back(vms_.back().get());
+    }
   }
   obs_ = &Instruments::for_hub(name_);
   obs_collector_ = obs::Registry::instance().add_collector(
@@ -379,7 +405,7 @@ ChannelHub::ChannelHub(std::string name, const PrivateKey& key,
                   hub, static_cast<double>(worker_count()));
         std::size_t free_vms = 0;
         {
-          std::lock_guard lock(vm_mu_);
+          runtime::MutexLock lock(vm_mu_);
           free_vms = free_vms_.size();
         }
         out.gauge("tinyevm_hub_free_vms", "Vms not currently leased", hub,
@@ -387,33 +413,22 @@ ChannelHub::ChannelHub(std::string name, const PrivateKey& key,
       });
 }
 
-// RAII admission into the lifecycle gate. A gate that fails to admit means
-// the hub is tearing down: the caller must answer Busy WITHOUT touching any
-// other member, because the destructor is no longer waiting for it.
-struct ChannelHub::CallGate {
-  explicit CallGate(ChannelHub& hub) {
-    std::lock_guard lock(hub.lifecycle_mu_);
-    if (hub.closing_) return;
-    ++hub.active_calls_;
-    hub_ = &hub;
-  }
-  CallGate(const CallGate&) = delete;
-  CallGate& operator=(const CallGate&) = delete;
-  ~CallGate() {
-    if (hub_ == nullptr) return;
-    std::lock_guard lock(hub_->lifecycle_mu_);
-    if (--hub_->active_calls_ == 0) hub_->lifecycle_cv_.notify_all();
-  }
-  [[nodiscard]] bool admitted() const { return hub_ != nullptr; }
-
- private:
-  ChannelHub* hub_ = nullptr;
-};
-
 ChannelHub::~ChannelHub() {
   std::unique_lock lock(lifecycle_mu_);
   closing_ = true;
-  lifecycle_cv_.wait(lock, [this] { return active_calls_ == 0; });
+  lifecycle_cv_.wait(lock, [this] { return active_requests_ == 0; });
+}
+
+bool ChannelHub::admit(std::size_t requests) {
+  std::lock_guard lock(lifecycle_mu_);
+  if (closing_) return false;
+  active_requests_ += requests;
+  return true;
+}
+
+void ChannelHub::retire() {
+  std::lock_guard lock(lifecycle_mu_);
+  if (--active_requests_ == 0) lifecycle_cv_.notify_all();
 }
 
 void ChannelHub::set_sensor_default(std::uint32_t device, const U256& value) {
@@ -427,19 +442,15 @@ void ChannelHub::register_actuator_default(std::uint32_t device) {
 }
 
 evm::Vm& ChannelHub::acquire_vm() {
-  std::unique_lock lock(vm_mu_);
-  vm_cv_.wait(lock, [this] { return !free_vms_.empty(); });
+  runtime::MutexLock lock(vm_mu_);
   evm::Vm* vm = free_vms_.back();
   free_vms_.pop_back();
   return *vm;
 }
 
 void ChannelHub::release_vm(evm::Vm& vm) {
-  {
-    std::lock_guard lock(vm_mu_);
-    free_vms_.push_back(&vm);
-  }
-  vm_cv_.notify_one();
+  runtime::MutexLock lock(vm_mu_);
+  free_vms_.push_back(&vm);
 }
 
 std::shared_ptr<ChannelHub::SessionSlot> ChannelHub::find_session(
@@ -448,31 +459,6 @@ std::shared_ptr<ChannelHub::SessionSlot> ChannelHub::find_session(
   const auto it = sessions_.find(channel_id);
   return it == sessions_.end() ? nullptr : it->second;
 }
-
-const U256& ChannelHub::channel_of(const HubRequest& request) {
-  return std::visit([](const auto& r) -> const U256& { return r.channel_id; },
-                    request);
-}
-
-HubResponseKind ChannelHub::kind_of(const HubRequest& request) {
-  // Variant order == kind order (see dispatch()).
-  return static_cast<HubResponseKind>(request.index());
-}
-
-namespace {
-
-// A Busy answer built without touching the hub: used when the lifecycle
-// gate refuses admission, at which point the hub may already be past the
-// destructor's drain wait.
-HubResponse shutdown_busy(HubResponseKind kind, const U256& channel_id) {
-  HubResponse response;
-  response.status = HubStatus::Busy;
-  response.kind = kind;
-  response.channel_id = channel_id;
-  return response;
-}
-
-}  // namespace
 
 HubResponse ChannelHub::reject(HubStatus status, HubResponseKind kind,
                                const U256& channel_id) {
@@ -566,7 +552,7 @@ HubResponse ChannelHub::serve(const CloseRequest& request, evm::Vm& vm) {
   return response;
 }
 
-HubResponse ChannelHub::dispatch(const HubRequest& request, evm::Vm* vm,
+HubResponse ChannelHub::dispatch(const HubRequest& request, evm::Vm& vm,
                                  std::uint32_t queue_us) {
   const std::size_t kind = request.index();  // variant order == kind order
   obs::Span span(Instruments::span_name(kind), "hub");
@@ -577,7 +563,7 @@ HubResponse ChannelHub::dispatch(const HubRequest& request, evm::Vm* vm,
                                      PaymentUpdate>) {
           return serve(r);
         } else {
-          return serve(r, *vm);  // callers lease a Vm for open/close
+          return serve(r, vm);
         }
       },
       request);
@@ -594,34 +580,68 @@ HubResponse ChannelHub::dispatch(const HubRequest& request, evm::Vm* vm,
   return response;
 }
 
-HubResponse ChannelHub::handle(const HubRequest& request) {
-  CallGate gate(*this);
-  if (!gate.admitted()) {
-    return shutdown_busy(kind_of(request), channel_of(request));
+void ChannelHub::submit(HubRequest request, Reply reply) {
+  if (!admit(1)) {
+    // Teardown has begun: answer without touching any other member, since
+    // the destructor is no longer waiting for this request.
+    reply(busy_response(request));
+    return;
   }
-  if (std::holds_alternative<PaymentUpdate>(request)) {
-    // Countersigning is pure ECDSA + log work (a recover and a sign);
-    // don't queue it behind the bounded interpreter set the request never
-    // touches.
-    return dispatch(request, nullptr);
+  enqueue(std::move(request), std::move(reply));
+}
+
+void ChannelHub::enqueue(HubRequest request, Reply reply) {
+  const U256 channel_id = channel_of(request);
+  bool idle = false;
+  {
+    runtime::MutexLock lock(mailboxes_mu_);
+    auto [it, inserted] = mailboxes_.try_emplace(channel_id);
+    it->second.push_back(Pending{std::move(request), std::move(reply),
+                                 std::chrono::steady_clock::now()});
+    idle = inserted;
   }
-  // Time the lease wait — with every Vm out, this is where a request
-  // queues. Measured unconditionally (like service_us: it is part of the
-  // response's bench telemetry); the trace event alone is gated.
-  const std::uint64_t trace_start =
-      obs::trace_enabled() ? obs::detail::trace_now_ns() : 0;
-  const auto wait_start = std::chrono::steady_clock::now();
+  // Outside the lock: the entry now exists, so no other submit schedules
+  // it, and no worker can run it before this task is queued.
+  if (idle) pool_.submit([this, channel_id] { run_mailbox(channel_id); });
+}
+
+void ChannelHub::run_mailbox(const U256& channel_id) {
+  std::vector<Pending> batch;
+  {
+    runtime::MutexLock lock(mailboxes_mu_);
+    auto& queue = mailboxes_.find(channel_id)->second;
+    const auto take = static_cast<std::ptrdiff_t>(
+        std::min(batch_max_, queue.size()));
+    batch.assign(std::make_move_iterator(queue.begin()),
+                 std::make_move_iterator(queue.begin() + take));
+    queue.erase(queue.begin(), queue.begin() + take);
+  }
+  pickups_.fetch_add(1, std::memory_order_relaxed);
   evm::Vm& vm = acquire_vm();
-  const auto queue_us = static_cast<std::uint32_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - wait_start)
-          .count());
-  if (obs::trace_enabled()) {
-    obs::Tracer::instance().emit("hub.queue_wait", "hub", trace_start,
-                                 obs::detail::trace_now_ns());
+  for (Pending& pending : batch) {
+    const auto queue_us = static_cast<std::uint32_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - pending.submitted)
+            .count());
+    pending.reply(dispatch(pending.request, vm, queue_us));
+    retire();
   }
-  VmLease lease{*this, vm};
-  return dispatch(request, &lease.vm(), queue_us);
+  release_vm(vm);
+  bool more = false;
+  {
+    runtime::MutexLock lock(mailboxes_mu_);
+    const auto it = mailboxes_.find(channel_id);
+    more = !it->second.empty();
+    if (!more) mailboxes_.erase(it);
+  }
+  // Work left means unretired requests, so the destructor is still waiting
+  // and the pool is alive. The tail of the queue: other channels' mailboxes
+  // get their turn first.
+  if (more) pool_.submit([this, channel_id] { run_mailbox(channel_id); });
+}
+
+HubResponse ChannelHub::handle(const HubRequest& request) {
+  return std::move(handle_batch({&request, 1}).front());
 }
 
 HubResponse ChannelHub::handle(const OpenRequest& request) {
@@ -640,48 +660,27 @@ std::vector<HubResponse> ChannelHub::handle_batch(
     std::span<const HubRequest> requests) {
   std::vector<HubResponse> responses(requests.size());
   if (requests.empty()) return responses;
-  CallGate gate(*this);
-  if (!gate.admitted()) {
+  // One admission for the whole batch: a destructor racing it either
+  // refuses every request or waits for every one.
+  if (!admit(requests.size())) {
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      responses[i] =
-          shutdown_busy(kind_of(requests[i]), channel_of(requests[i]));
+      responses[i] = busy_response(requests[i]);
     }
     return responses;
   }
-
-  // Group by channel id: one group is one session's requests in batch
-  // order, so per-session effects are deterministic at any worker count.
-  std::map<U256, std::size_t> group_of;
-  std::vector<std::vector<std::size_t>> groups;
+  std::mutex mu;
+  std::condition_variable done;
+  std::size_t remaining = requests.size();
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const auto [it, inserted] =
-        group_of.try_emplace(channel_of(requests[i]), groups.size());
-    if (inserted) groups.emplace_back();
-    groups[it->second].push_back(i);
+    enqueue(requests[i], [&, i](HubResponse response) {
+      responses[i] = std::move(response);
+      // Notify under the lock: once it drops, this frame may be gone.
+      std::lock_guard lock(mu);
+      if (--remaining == 0) done.notify_all();
+    });
   }
-
-  std::atomic<std::size_t> cursor{0};
-  const std::size_t workers =
-      std::min(pool_.thread_count(), groups.size());
-  // Queue wait for a batched request: batch submission to the moment a
-  // worker starts dispatching it (time spent behind earlier groups and
-  // other sessions' work).
-  const auto batch_start = std::chrono::steady_clock::now();
-  runtime::run_tasks(pool_, workers, [&](std::size_t) {
-    evm::Vm& vm = acquire_vm();
-    VmLease lease{*this, vm};
-    for (;;) {
-      const std::size_t g = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (g >= groups.size()) return;
-      for (const std::size_t i : groups[g]) {
-        const auto queue_us = static_cast<std::uint32_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - batch_start)
-                .count());
-        responses[i] = dispatch(requests[i], &lease.vm(), queue_us);
-      }
-    }
-  });
+  std::unique_lock lock(mu);
+  done.wait(lock, [&] { return remaining == 0; });
   return responses;
 }
 

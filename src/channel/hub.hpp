@@ -13,10 +13,11 @@
 //     the explicit wire surface. Endpoints interact with a hub purely
 //     through these serialized SignedState exchanges.
 //   * `ChannelHub` — the server: a worker pool, a bounded per-worker Vm
-//     set, and a table of sessions keyed by channel id. Requests for
-//     distinct channels execute concurrently; requests for one channel
-//     are serialized in arrival order, so batch results are deterministic
-//     (bit-identical logs) at any worker count.
+//     set, a table of sessions keyed by channel id, and one FIFO mailbox
+//     per channel with queued work. Requests for distinct channels
+//     execute concurrently; requests for one channel are served in submit
+//     order, so results are deterministic (bit-identical logs) at any
+//     worker count.
 //
 // The device-side peripherals (`SensorBank`, `DeviceHost`) live here too:
 // a hub session runs the same template bytecode against the same host
@@ -25,8 +26,11 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -286,10 +290,10 @@ struct HubResponse {
   /// PaymentUpdate: the fully-signed state (both signatures).
   /// CloseRequest: the hub's final state (hub signature only).
   std::optional<SignedState> state;
-  /// Time spent waiting before a worker started on the request — blocking
-  /// on a Vm lease (`handle`) or sitting in the batch behind earlier
-  /// groups (`handle_batch`) — microseconds (bench telemetry; not part of
-  /// the deterministic payload).
+  /// Time from submit() to the moment a worker started on the request —
+  /// waiting in its channel's mailbox and in the pool queue behind other
+  /// channels — microseconds (bench telemetry; not part of the
+  /// deterministic payload).
   std::uint32_t queue_us = 0;
   /// Worker service time for this request — dispatch start to response,
   /// excluding queue_us — microseconds (bench telemetry; not part of the
@@ -299,17 +303,25 @@ struct HubResponse {
   [[nodiscard]] bool ok() const { return status == HubStatus::Ok; }
 };
 
+/// The `Busy` answer to `request`, built without a hub: overload shedding
+/// and shutdown, with zero queue/service time.
+[[nodiscard]] HubResponse busy_response(const HubRequest& request);
+
 // ---------------------------------------------------------------------------
 // The hub server
 // ---------------------------------------------------------------------------
 
 /// A channel server: one identity (key), many concurrent sessions.
 ///
-/// Requests arrive either one at a time (`handle`, thread-safe) or as a
-/// batch (`handle_batch`), which fans session groups out across the worker
-/// pool. Each worker leases one Vm from a bounded set sized to the pool,
-/// so a hub serving 10k sessions still owns only `workers` interpreters;
-/// translations are shared through the (sharded) CodeCache.
+/// Every request enters through `submit`, which appends it to its
+/// channel's FIFO mailbox. A mailbox with work is scheduled on the worker
+/// pool at most once at a time: the worker that picks it up serves up to
+/// `Config::batch_max` of its requests in order, answering each as it
+/// finishes, then re-queues the mailbox at the pool's tail if work is
+/// left. `handle` and `handle_batch` are submit-and-wait. Each worker
+/// leases one Vm from a bounded set sized to the pool, so a hub serving
+/// 10k sessions still owns only `workers` interpreters; translations are
+/// shared through the (sharded) CodeCache.
 class ChannelHub {
  public:
   struct Config {
@@ -322,6 +334,10 @@ class ChannelHub {
     /// Execution engine for every worker Vm (EngineRegistry name). Empty =
     /// whatever vm_config selects; unknown names make the ctor throw.
     std::string engine;
+    /// Most requests one worker pick-up serves from a channel's mailbox
+    /// before the mailbox goes back to the pool's tail; 0 makes the ctor
+    /// throw.
+    std::size_t batch_max = 256;
   };
 
   /// Hub-wide counters, aggregated on demand.
@@ -337,13 +353,17 @@ class ChannelHub {
     std::size_t open_sessions = 0;
   };
 
+  /// Receives one request's response, on the worker that served it (or on
+  /// the submitting thread when the hub is shutting down).
+  using Reply = std::function<void(HubResponse)>;
+
   ChannelHub(std::string name, const PrivateKey& key,
              const Hash256& onchain_root);
   ChannelHub(std::string name, const PrivateKey& key,
              const Hash256& onchain_root, Config config);
-  /// Blocks until every in-flight handle()/handle_batch() call drains, so
-  /// destruction never races the session table a live batch is walking;
-  /// calls arriving after teardown begins are answered `Busy`.
+  /// Blocks until every submitted request's reply has returned, so
+  /// destruction never races the session table a worker is walking;
+  /// requests submitted after teardown begins are answered `Busy`.
   ~ChannelHub();
 
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -359,18 +379,29 @@ class ChannelHub {
   void set_sensor_default(std::uint32_t device, const U256& value);
   void register_actuator_default(std::uint32_t device);
 
-  /// Serves one request. Thread-safe; blocks while every Vm is leased.
+  /// Queues `request` on its channel's mailbox and returns at once.
+  /// Thread-safe. `reply` runs exactly once; requests for one channel are
+  /// served, and replied to, in submit order.
+  void submit(HubRequest request, Reply reply);
+
+  /// submit() and wait for the response.
   HubResponse handle(const OpenRequest& request);
   HubResponse handle(const PaymentUpdate& request);
   HubResponse handle(const CloseRequest& request);
   HubResponse handle(const HubRequest& request);
 
-  /// Serves a batch on the worker pool. Requests for distinct channels run
-  /// concurrently; requests for the same channel run in batch order, so
-  /// responses (and session logs) are identical at any worker count.
+  /// Submits every request, in order, and waits for all responses.
+  /// Requests for distinct channels run concurrently; requests for the
+  /// same channel run in batch order, so responses (and session logs) are
+  /// identical at any worker count.
   std::vector<HubResponse> handle_batch(std::span<const HubRequest> requests);
 
   [[nodiscard]] Stats stats() const;
+  /// Worker pick-ups so far: one per mailbox run of up to batch_max
+  /// requests.
+  [[nodiscard]] std::uint64_t pickups() const {
+    return pickups_.load(std::memory_order_relaxed);
+  }
   [[nodiscard]] std::size_t session_count() const;
   /// Snapshot of one session's side-chain log (nullopt: unknown channel).
   [[nodiscard]] std::optional<SideChainLog> session_log(
@@ -390,34 +421,36 @@ class ChannelHub {
     ChannelSession session GUARDED_BY(mu);
   };
 
-  /// RAII lease over one of the hub's bounded Vm set.
-  class VmLease {
-   public:
-    VmLease(ChannelHub& hub, evm::Vm& vm) : hub_(hub), vm_(vm) {}
-    ~VmLease() { hub_.release_vm(vm_); }
-    VmLease(const VmLease&) = delete;
-    VmLease& operator=(const VmLease&) = delete;
-    [[nodiscard]] evm::Vm& vm() { return vm_; }
-
-   private:
-    ChannelHub& hub_;
-    evm::Vm& vm_;
+  /// One submitted request waiting in its channel's mailbox.
+  struct Pending {
+    HubRequest request;
+    Reply reply;
+    std::chrono::steady_clock::time_point submitted;
   };
 
+  /// Leases one of the bounded Vm set for a pick-up. Never waits: at most
+  /// `workers` pick-ups run at once, one lease each.
   evm::Vm& acquire_vm();
   void release_vm(evm::Vm& vm);
 
+  /// Lifecycle gate: counts `requests` as in flight until their replies
+  /// return; false (nothing counted) once teardown has begun.
+  bool admit(std::size_t requests);
+  /// One admitted request's reply has returned.
+  void retire();
+  /// Appends an admitted request to its channel's mailbox, scheduling the
+  /// mailbox on the pool when it was idle.
+  void enqueue(HubRequest request, Reply reply);
+  /// One worker pick-up of `channel_id`'s mailbox.
+  void run_mailbox(const U256& channel_id);
+
   [[nodiscard]] std::shared_ptr<SessionSlot> find_session(
       const U256& channel_id) const;
-  static const U256& channel_of(const HubRequest& request);
-  static HubResponseKind kind_of(const HubRequest& request);
 
-  /// `vm` may be null only when the request is a PaymentUpdate, which
-  /// never touches an interpreter. `queue_us` is the wait the caller
-  /// already measured (Vm lease / batch position); dispatch stamps it into
-  /// the response and the queue-wait histogram.
-  HubResponse dispatch(const HubRequest& request, evm::Vm* vm,
-                       std::uint32_t queue_us = 0);
+  /// `queue_us` is the submit-to-start wait the worker measured; dispatch
+  /// stamps it into the response and the queue-wait histogram.
+  HubResponse dispatch(const HubRequest& request, evm::Vm& vm,
+                       std::uint32_t queue_us);
   HubResponse serve(const OpenRequest& request, evm::Vm& vm);
   HubResponse serve(const PaymentUpdate& request);
   HubResponse serve(const CloseRequest& request, evm::Vm& vm);
@@ -428,34 +461,38 @@ class ChannelHub {
   PrivateKey key_;
   Hash256 onchain_root_;
   evm::VmConfig vm_config_;
+  std::size_t batch_max_;
   std::shared_ptr<evm::CodeCache> cache_;
   SensorBank sensor_defaults_;
 
   std::vector<std::unique_ptr<evm::Vm>> vms_;
-  std::mutex vm_mu_;
-  std::condition_variable vm_cv_;
-  std::vector<evm::Vm*> free_vms_;
+  runtime::Mutex vm_mu_;
+  std::vector<evm::Vm*> free_vms_ GUARDED_BY(vm_mu_);
 
   mutable runtime::Mutex sessions_mu_;
   std::map<U256, std::shared_ptr<SessionSlot>> sessions_
       GUARDED_BY(sessions_mu_);
 
-  /// Lifecycle gate: counts in-flight handle()/handle_batch() calls. The
-  /// destructor flips `closing_` and waits for the count to reach zero
-  /// before member teardown begins, so a batch racing destruction always
-  /// finishes against a live session table. Plain std::mutex (not
-  /// runtime::Mutex): a condition_variable needs the real type.
-  struct CallGate;
-  friend struct CallGate;
-  mutable std::mutex lifecycle_mu_;
+  /// Channel id -> requests not yet picked up. An entry exists exactly
+  /// while its mailbox is queued on the pool or being run by a worker.
+  runtime::Mutex mailboxes_mu_;
+  std::map<U256, std::deque<Pending>> mailboxes_ GUARDED_BY(mailboxes_mu_);
+
+  /// Lifecycle gate state (admit/retire). The destructor flips `closing_`
+  /// and waits for the count to reach zero before member teardown begins,
+  /// so a request racing destruction always finishes against a live
+  /// session table. Plain std::mutex (not runtime::Mutex): a
+  /// condition_variable needs the real type.
+  std::mutex lifecycle_mu_;
   std::condition_variable lifecycle_cv_;
-  std::size_t active_calls_ = 0;
+  std::size_t active_requests_ = 0;
   bool closing_ = false;
 
   std::atomic<std::uint64_t> opens_{0};
   std::atomic<std::uint64_t> payments_{0};
   std::atomic<std::uint64_t> closes_{0};
   std::atomic<std::uint64_t> rejected_{0};
+  std::atomic<std::uint64_t> pickups_{0};
 
   /// Registry instruments shared by every hub with this name (hub.cpp;
   /// interned once in the ctor so the request path never takes the
@@ -463,9 +500,9 @@ class ChannelHub {
   struct Instruments;
   Instruments* obs_ = nullptr;
 
-  /// Declared after the counters: destroyed first among the state above,
-  /// so the pool drains and joins its workers before the Vms and sessions
-  /// they touch go away.
+  /// Declared after the state above: destroyed first among it, so the
+  /// pool drains and joins its workers before the mailboxes, Vms and
+  /// sessions they touch go away.
   runtime::ThreadPool pool_;
 
   /// Scrape-time registration republishing stats() under {hub=<name>}.

@@ -57,7 +57,7 @@ class HubClient {
 /// Drives N concurrent sessions against a hub server, each running the
 /// deterministic open → R payments → close script (identical to the
 /// in-process exchange the differential test replays), with one request in
-/// flight per connection so per-channel ordering matches handle_batch.
+/// flight per connection: each payment chains onto the previous response.
 class LoadGenerator {
  public:
   struct Config {

@@ -116,18 +116,14 @@ void EventLoop::request_stop() {
 }
 
 void EventLoop::defer(std::function<void()> fn) {
-  {
-    std::lock_guard lock(deferred_mu_);
-    deferred_.push_back(std::move(fn));
-  }
+  std::lock_guard lock(deferred_mu_);
+  deferred_.push_back(std::move(fn));
+  if (deferred_.size() > 1) return;  // a wake is already pending
+  // Written under the lock: once poll() has taken this closure, the
+  // caller no longer touches the loop, so its owner may destroy it.
   const std::uint64_t one = 1;
   [[maybe_unused]] const ssize_t rc =
       ::write(wake_.get(), &one, sizeof(one));
-}
-
-bool EventLoop::deferred_empty() const {
-  std::lock_guard lock(deferred_mu_);
-  return deferred_.empty();
 }
 
 }  // namespace tinyevm::net

@@ -84,11 +84,10 @@ class EventLoop {
   void clear_stop() { stop_.store(false, std::memory_order_release); }
 
   /// Queues `fn` to run on the loop thread at the end of the next poll
-  /// pass and wakes the loop. Callable from any thread.
+  /// pass and wakes the loop. Callable from any thread. Only the closure
+  /// that finds the queue empty writes the wake eventfd: the ones behind
+  /// it ride the same wake.
   void defer(std::function<void()> fn);
-
-  /// True when no deferred closures are queued (drain-phase predicate).
-  [[nodiscard]] bool deferred_empty() const;
 
  private:
   void drain_wake();
@@ -99,7 +98,7 @@ class EventLoop {
   // shared_ptr so a callback that remove()s its own fd (or a sibling's)
   // mid-dispatch cannot free the std::function currently executing.
   std::unordered_map<int, std::shared_ptr<Callback>> callbacks_;
-  mutable std::mutex deferred_mu_;
+  std::mutex deferred_mu_;
   std::vector<std::function<void()>> deferred_;
 };
 

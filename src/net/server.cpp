@@ -7,42 +7,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstring>
-#include <span>
 #include <system_error>
 #include <utility>
-#include <variant>
 
 #include "obs/export.hpp"
 
 namespace tinyevm::net {
-
-namespace {
-
-const U256& channel_of(const channel::HubRequest& request) {
-  return std::visit(
-      [](const auto& r) -> const U256& { return r.channel_id; },
-      request);
-}
-
-channel::HubResponseKind kind_of(const channel::HubRequest& request) {
-  return static_cast<channel::HubResponseKind>(request.index());
-}
-
-/// The I/O thread's immediate overload answer: no hub involvement, zero
-/// queue/service time (the request never entered the queue).
-Bytes busy_frame(const channel::HubRequest& request, std::uint32_t seq) {
-  channel::HubResponse response;
-  response.status = channel::HubStatus::Busy;
-  response.kind = kind_of(request);
-  response.channel_id = channel_of(request);
-  return encode_response(response, seq);
-}
-
-}  // namespace
 
 // ---- Acceptor ----
 
@@ -117,21 +90,9 @@ HubServer::HubServer(channel::ChannelHub& hub, Config config)
                     "Connections closed over the write-queue cap", server,
                     static_cast<double>(s.slow_reader_closed));
         out.counter("tinyevm_net_batches_total",
-                    "handle_batch calls dispatched", server,
+                    "Hub worker pick-ups (mailbox runs)", server,
                     static_cast<double>(s.batches));
       });
-}
-
-HubServer::~HubServer() {
-  if (dispatcher_.joinable()) {
-    {
-      std::lock_guard lock(pending_mu_);
-      dispatch_stop_ = true;
-      dispatch_paused_ = false;
-    }
-    pending_cv_.notify_all();
-    dispatcher_.join();
-  }
 }
 
 std::uint16_t HubServer::bind() {
@@ -144,21 +105,13 @@ void HubServer::serve() {
   loop_.add(acceptor_.fd(), EPOLLIN, [this](std::uint32_t) {
     on_acceptable();
   });
-  {
-    std::lock_guard lock(pending_mu_);
-    dispatch_stop_ = false;
-  }
-  dispatcher_ = std::thread([this] { run_dispatcher(); });
   loop_.run();
   graceful_drain();
 }
 
 void HubServer::pause_dispatch(bool paused) {
-  {
-    std::lock_guard lock(pending_mu_);
-    dispatch_paused_ = paused;
-  }
-  pending_cv_.notify_all();
+  paused_.store(paused, std::memory_order_relaxed);
+  if (!paused) loop_.defer([this] { submit_held(); });
 }
 
 HubServer::Stats HubServer::stats() const {
@@ -172,7 +125,7 @@ HubServer::Stats HubServer::stats() const {
   s.busy_rejections = busy_rejections_.load(std::memory_order_relaxed);
   s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
   s.slow_reader_closed = slow_reader_closed_.load(std::memory_order_relaxed);
-  s.batches = batches_.load(std::memory_order_relaxed);
+  s.batches = hub_.pickups();
   return s;
 }
 
@@ -262,16 +215,20 @@ bool HubServer::drain_frames(Connection& conn) {
     }
     if (draining_ || conn.inflight >= config_.inflight_budget) {
       busy_rejections_.fetch_add(1, std::memory_order_relaxed);
-      queue_write(conn, busy_frame(*request, frame->seq));
+      queue_write(conn,
+                  encode_response(channel::busy_response(*request),
+                                  frame->seq));
       if (conns_.find(id) == conns_.end()) return false;
       continue;
     }
     ++conn.inflight;
-    {
-      std::lock_guard lock(pending_mu_);
-      pending_.push_back(Pending{id, frame->seq, std::move(*request)});
+    // Behind held requests even once unpaused, so a channel's requests
+    // reach the hub in arrival order.
+    if (paused_.load(std::memory_order_relaxed) || !held_.empty()) {
+      held_.push_back(Held{id, frame->seq, std::move(*request)});
+    } else {
+      submit(id, frame->seq, std::move(*request));
     }
-    pending_cv_.notify_one();
   }
   if (conn.reader.error() != FrameError::None) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
@@ -341,64 +298,32 @@ void HubServer::close_connection(std::uint64_t id) {
   open_connections_.fetch_sub(1, std::memory_order_relaxed);
 }
 
+void HubServer::submit(std::uint64_t conn_id, std::uint32_t seq,
+                       channel::HubRequest request) {
+  ++outstanding_;
+  hub_.submit(std::move(request),
+              [this, conn_id, seq](channel::HubResponse response) {
+                loop_.defer([this, conn_id,
+                             encoded = encode_response(response, seq)] {
+                  deliver(conn_id, encoded);
+                });
+              });
+}
+
+void HubServer::submit_held() {
+  if (paused_.load(std::memory_order_relaxed)) return;  // re-paused since
+  std::vector<Held> held;
+  held.swap(held_);
+  for (Held& h : held) submit(h.conn_id, h.seq, std::move(h.request));
+}
+
 void HubServer::deliver(std::uint64_t conn_id, const Bytes& encoded) {
+  --outstanding_;
   const auto it = conns_.find(conn_id);
-  if (it == conns_.end()) return;  // connection died while in the batch
+  if (it == conns_.end()) return;  // connection died while in the hub
   Connection& conn = *it->second;
   if (conn.inflight > 0) --conn.inflight;
   queue_write(conn, encoded);
-}
-
-void HubServer::run_dispatcher() {
-  for (;;) {
-    std::vector<Pending> batch;
-    {
-      std::unique_lock lock(pending_mu_);
-      pending_cv_.wait(lock, [this] {
-        return dispatch_stop_ || (!dispatch_paused_ && !pending_.empty());
-      });
-      if (pending_.empty()) {
-        if (dispatch_stop_) return;
-        continue;
-      }
-      if (dispatch_paused_ && !dispatch_stop_) continue;
-      const std::size_t take = std::min(config_.batch_max, pending_.size());
-      batch.reserve(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(pending_.front()));
-        pending_.pop_front();
-      }
-      in_batch_ = true;
-    }
-    std::vector<channel::HubRequest> requests;
-    requests.reserve(batch.size());
-    for (const auto& p : batch) requests.push_back(p.request);
-    const std::vector<channel::HubResponse> responses =
-        hub_.handle_batch(requests);
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    auto deliveries =
-        std::make_shared<std::vector<std::pair<std::uint64_t, Bytes>>>();
-    deliveries->reserve(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      deliveries->emplace_back(batch[i].conn_id,
-                               encode_response(responses[i], batch[i].seq));
-    }
-    loop_.defer([this, deliveries] {
-      for (const auto& [conn_id, encoded] : *deliveries) {
-        deliver(conn_id, encoded);
-      }
-    });
-    {
-      std::lock_guard lock(pending_mu_);
-      in_batch_ = false;
-    }
-    pending_cv_.notify_all();
-  }
-}
-
-bool HubServer::dispatcher_idle() const {
-  std::lock_guard lock(pending_mu_);
-  return pending_.empty() && !in_batch_;
 }
 
 void HubServer::graceful_drain() {
@@ -409,22 +334,15 @@ void HubServer::graceful_drain() {
   loop_.remove(acceptor_.fd());
   acceptor_.close();
   draining_ = true;
-  // Phase 1: let the dispatcher finish everything already queued. It keeps
-  // defer()ing response deliveries, so the loop must keep polling.
-  {
-    std::lock_guard lock(pending_mu_);
-    dispatch_stop_ = true;
-    dispatch_paused_ = false;  // a paused dispatcher must still drain
-  }
-  pending_cv_.notify_all();
-  while (!dispatcher_idle() && std::chrono::steady_clock::now() < deadline) {
-    loop_.poll(10);
-  }
-  if (dispatcher_.joinable()) dispatcher_.join();
-  // Phase 2: deliver the batched responses still deferred and flush every
-  // write queue until empty or the deadline passes.
+  // Phase 1: every submitted request is answered, held ones included (a
+  // paused server must still drain). Replies arrive through defer(), so
+  // the loop keeps polling; they point into this server, so no deadline
+  // cuts this wait short.
+  paused_.store(false, std::memory_order_relaxed);
+  submit_held();
+  while (outstanding_ > 0) loop_.poll(10);
+  // Phase 2: flush every write queue until empty or the deadline passes.
   const auto flushed = [this] {
-    if (!loop_.deferred_empty()) return false;
     for (const auto& [id, conn] : conns_) {
       if (conn->queued_bytes() > 0) return false;
     }

@@ -1,14 +1,14 @@
 // The networked hub front-end: a TCP server that speaks the src/net frame
 // protocol and feeds decoded requests to a ChannelHub.
 //
-// Threading model — exactly two threads touch a serving HubServer:
-//
-//   * the I/O thread (whoever calls serve()) runs the EventLoop: it
-//     accepts, reads, decodes frames, writes responses, and owns every
-//     Connection outright;
-//   * the dispatcher thread batches decoded requests and calls
-//     ChannelHub::handle_batch on the existing worker pool, then hands the
-//     encoded responses back to the I/O thread via EventLoop::defer.
+// Threading model — the server owns one thread, the I/O thread (whoever
+// calls serve()). It runs the EventLoop: it accepts, reads, decodes
+// frames, writes responses, and owns every Connection outright. Each
+// decoded request goes straight to ChannelHub::submit, which queues it on
+// its channel's mailbox on the hub's worker pool. The worker that serves
+// it encodes the response and hands the bytes back to the I/O thread via
+// EventLoop::defer, so a response leaves as soon as it is ready,
+// independent of other channels' work.
 //
 // Backpressure is per connection and two-sided:
 //
@@ -27,13 +27,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -88,9 +84,10 @@ class HubServer {
     std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
     std::size_t inflight_budget = 64;    ///< per-connection, then Busy
     std::size_t max_write_queue_bytes = 1u << 20;  ///< then close
-    std::size_t batch_max = 256;         ///< requests per handle_batch call
-    /// Graceful-drain bound: after request_stop(), serve() finishes
-    /// in-flight batches and flushes write queues for at most this long.
+    /// Graceful-drain bound: after request_stop(), serve() waits for every
+    /// submitted request's response (their replies point into this
+    /// server, so that wait is not cut short), then flushes write queues
+    /// for what is left of this long.
     std::chrono::milliseconds drain_deadline{2000};
   };
 
@@ -105,11 +102,10 @@ class HubServer {
     std::uint64_t busy_rejections = 0;
     std::uint64_t protocol_errors = 0;
     std::uint64_t slow_reader_closed = 0;
-    std::uint64_t batches = 0;
+    std::uint64_t batches = 0;  ///< the hub's worker pick-ups
   };
 
   HubServer(channel::ChannelHub& hub, Config config);
-  ~HubServer();
   HubServer(const HubServer&) = delete;
   HubServer& operator=(const HubServer&) = delete;
 
@@ -118,21 +114,23 @@ class HubServer {
   [[nodiscard]] std::uint16_t port() const { return acceptor_.port(); }
 
   /// Serves on the calling thread until request_stop(), then performs the
-  /// bounded graceful drain (finish batches, flush write queues) and
-  /// returns. Starts and joins the dispatcher thread internally.
+  /// graceful drain (answer every submitted request, flush write queues)
+  /// and returns.
   void serve();
 
   /// Stops a serve() in progress. Async-signal-safe.
   void request_stop() { loop_.request_stop(); }
 
-  /// Test hook: while paused, the dispatcher holds between batches so
-  /// requests pile up against the inflight budget deterministically.
+  /// Test hook: while paused, decoded requests are held on the I/O thread
+  /// instead of submitted, so they pile up against the inflight budget
+  /// deterministically. Unpausing submits them in arrival order.
   void pause_dispatch(bool paused);
 
   [[nodiscard]] Stats stats() const;
 
  private:
-  struct Pending {
+  /// A decoded request held while dispatch is paused.
+  struct Held {
     std::uint64_t conn_id = 0;
     std::uint32_t seq = 0;
     channel::HubRequest request;
@@ -148,10 +146,12 @@ class HubServer {
   void flush_writes(Connection& conn);
   void update_interest(Connection& conn);
   void close_connection(std::uint64_t id);
-  void run_dispatcher();
+  /// Hands one request to the hub; its reply defers deliver().
+  void submit(std::uint64_t conn_id, std::uint32_t seq,
+              channel::HubRequest request);
+  void submit_held();
   void deliver(std::uint64_t conn_id, const Bytes& encoded);
   void graceful_drain();
-  [[nodiscard]] bool dispatcher_idle() const;
 
   channel::ChannelHub& hub_;
   Config config_;
@@ -160,17 +160,12 @@ class HubServer {
   std::uint64_t next_conn_id_ = 1;
   std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns_;
   bool draining_ = false;  ///< I/O thread only: reject new work, flush out
+  /// I/O thread only: submitted requests whose response is not delivered.
+  std::size_t outstanding_ = 0;
+  std::atomic<bool> paused_{false};
+  std::vector<Held> held_;  ///< I/O thread only, in arrival order
 
-  // I/O thread -> dispatcher queue.
-  mutable std::mutex pending_mu_;
-  std::condition_variable pending_cv_;
-  std::deque<Pending> pending_;
-  bool dispatch_stop_ = false;   ///< exit once pending_ is empty
-  bool dispatch_paused_ = false;
-  bool in_batch_ = false;
-  std::thread dispatcher_;
-
-  // Telemetry (written by both threads; plain counters).
+  // Telemetry (plain counters; read from any thread).
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> open_connections_{0};
   std::atomic<std::uint64_t> rx_bytes_{0};
@@ -180,7 +175,6 @@ class HubServer {
   std::atomic<std::uint64_t> busy_rejections_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> slow_reader_closed_{0};
-  std::atomic<std::uint64_t> batches_{0};
   obs::CollectorHandle obs_collector_;
 };
 

@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <array>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -407,6 +409,67 @@ TEST(ChannelHubDifferential, MultiRoundSingleBatchMatchesSerial) {
     ASSERT_TRUE(log.has_value()) << i;
     expect_logs_equal(*log, ex.reference_logs[i]);
   }
+}
+
+TEST(ChannelHubConcurrency, SubmitKeepsPerChannelOrderAcrossThreads) {
+  // Eight threads, each submitting one channel's whole script without
+  // waiting in between: open -> pay x8 -> close. The hub must serve each
+  // channel in submit order while the channels interleave on the pool.
+  constexpr std::size_t kChannels = 8;
+  constexpr std::size_t kRounds = 8;
+  const Exchange ex = build_exchange(kChannels, kRounds);
+  if (::testing::Test::HasFailure()) return;
+  auto hub = make_hub(4);
+
+  struct Record {
+    std::mutex mu;
+    std::condition_variable done;
+    std::vector<HubResponse> responses;
+  };
+  std::array<Record, kChannels> records;
+  constexpr std::size_t kScript = kRounds + 2;
+  std::vector<std::thread> threads;
+  for (std::size_t c = 0; c < kChannels; ++c) {
+    threads.emplace_back([&, c] {
+      Record& record = records[c];
+      const auto collect = [&record](HubResponse response) {
+        std::lock_guard lock(record.mu);
+        record.responses.push_back(std::move(response));
+        if (record.responses.size() == kScript) record.done.notify_all();
+      };
+      hub->submit(ex.opens[c], collect);
+      for (std::size_t r = 0; r < kRounds; ++r) {
+        hub->submit(ex.rounds[r][c], collect);
+      }
+      hub->submit(CloseRequest{ex.ids[c]}, collect);
+      std::unique_lock lock(record.mu);
+      record.done.wait(lock,
+                       [&] { return record.responses.size() == kScript; });
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  for (std::size_t c = 0; c < kChannels; ++c) {
+    SCOPED_TRACE("channel " + std::to_string(c));
+    const auto& responses = records[c].responses;
+    ASSERT_EQ(responses.size(), kScript);
+    for (const auto& response : responses) {
+      ASSERT_EQ(response.status, HubStatus::Ok) << to_string(response.status);
+      EXPECT_EQ(response.channel_id, ex.ids[c]);
+    }
+    EXPECT_EQ(responses.front().kind, HubResponseKind::Open);
+    for (std::size_t r = 0; r < kRounds; ++r) {
+      ASSERT_EQ(responses[r + 1].kind, HubResponseKind::Payment);
+      EXPECT_TRUE(*responses[r + 1].state ==
+                  ex.reference_logs[c].entries()[r]);
+    }
+    EXPECT_EQ(responses.back().kind, HubResponseKind::Close);
+    const auto log = hub->session_log(ex.ids[c]);
+    ASSERT_TRUE(log.has_value());
+    expect_logs_equal(*log, ex.reference_logs[c]);
+  }
+  EXPECT_TRUE(hub->audit_all());
+  EXPECT_EQ(hub->stats().open_sessions, 0u);
 }
 
 // The acceptance criterion: >= 1,000 concurrent sessions, bit-identical

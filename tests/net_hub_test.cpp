@@ -6,8 +6,10 @@
 //   * NetHubLoopback — HubServer + HubClient over a real localhost socket:
 //     open/pay/close round trips, pipelined correlation, malformed and
 //     oversized frames closing the connection, deterministic backpressure
-//     Busy behavior, the remote stats scrape, and graceful-drain delivery.
-//     Runs under TSan in CI (two server threads + the test thread).
+//     Busy behavior, a late payment not held behind another channel's
+//     burst, the remote stats scrape, and graceful-drain delivery. Runs
+//     under TSan in CI (the I/O thread, the hub's workers and the test
+//     thread).
 //   * NetHubShutdown — ChannelHub destruction racing a live handle_batch:
 //     the lifecycle gate must drain the batch before teardown (TSan).
 //   * NetHubDifferential — the acceptance bar: 1,000 sessions driven over
@@ -17,11 +19,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "channel/hub.hpp"
@@ -86,6 +91,29 @@ PaymentUpdate make_update(ChannelEndpoint& car, const U256& units) {
   auto update = car.propose_payment(units);
   EXPECT_TRUE(update.has_value());
   return *update;
+}
+
+/// `count` chained payments on `car`'s channel `id`, each countersigned
+/// offline by a serial stand-in holding the hub's key, so all of them can
+/// be pipelined without waiting on the hub. Every one is valid in turn.
+std::vector<PaymentUpdate> chained_payments(ChannelEndpoint& car,
+                                            const U256& id,
+                                            std::size_t count) {
+  ChannelEndpoint lot("lot", hub_key(), anchor());
+  lot.sensors().set_reading(kDev, U256{21});
+  EXPECT_TRUE(lot.open_channel(id, kRate, kDev).has_value());
+  std::vector<PaymentUpdate> updates;
+  for (std::size_t i = 0; i < count; ++i) {
+    auto update = make_update(car, U256{1});
+    const auto counter = lot.countersign(update.proposal.state);
+    EXPECT_TRUE(counter.has_value()) << i;
+    SignedState full = update.proposal;
+    full.receiver_sig = *counter;
+    EXPECT_TRUE(lot.accept(full)) << i;
+    EXPECT_TRUE(car.accept(full)) << i;
+    updates.push_back(std::move(update));
+  }
+  return updates;
 }
 
 // ---------------------------------------------------------------------------
@@ -489,6 +517,61 @@ TEST_F(NetHubLoopback, BackpressureAnswersBusyPastTheBudget) {
   EXPECT_EQ(ok, 1u);
   EXPECT_EQ(bad_state, 3u);
   EXPECT_EQ(server_->stats().busy_rejections, 4u);
+}
+
+TEST_F(NetHubLoopback, LatePaymentIsNotHeldBehindABusySession) {
+  // Two workers: channel A's pipelined payments keep one busy, so a
+  // payment for channel B that arrives meanwhile must be served by the
+  // other at once, not after A's whole run.
+  constexpr std::size_t kBurst = 16;
+  start({}, /*workers=*/2);
+  auto conn_a = connect();
+  auto conn_b = connect();
+  auto car_a = make_car(0);
+  auto car_b = make_car(1);
+  for (auto [client, car, id] : {std::tuple{&conn_a, &car_a, U256{1}},
+                                 std::tuple{&conn_b, &car_b, U256{2}}}) {
+    const auto open = car->open_request(id, kRate, kDev);
+    ASSERT_TRUE(open.has_value());
+    const auto opened = client->call(HubRequest{*open});
+    ASSERT_TRUE(opened.has_value());
+    ASSERT_EQ(opened->status, HubStatus::Ok);
+  }
+  const auto burst = chained_payments(car_a, U256{1}, kBurst);
+  const auto late = make_update(car_b, U256{1});
+
+  using Clock = std::chrono::steady_clock;
+  std::array<Clock::time_point, kBurst> a_arrived{};
+  std::atomic<std::size_t> a_done{0};
+  std::atomic<bool> a_ok{true};
+  for (std::uint32_t i = 0; i < kBurst; ++i) {
+    ASSERT_TRUE(conn_a.send_raw(encode_request(HubRequest{burst[i]}, i + 1)));
+  }
+  std::thread reader([&] {
+    for (std::size_t i = 0; i < kBurst; ++i) {
+      const auto reply = conn_a.recv();
+      a_arrived[i] = Clock::now();
+      if (!reply.has_value() || reply->first != i + 1 ||
+          reply->second.status != HubStatus::Ok) {
+        a_ok = false;
+      }
+      a_done.store(i + 1, std::memory_order_release);
+      if (!reply.has_value()) return;
+    }
+  });
+  while (a_done.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
+  }
+  const auto b_reply = conn_b.call(HubRequest{late});
+  const auto b_arrived = Clock::now();
+  reader.join();
+
+  ASSERT_TRUE(a_ok);
+  ASSERT_EQ(a_done.load(), kBurst);
+  ASSERT_TRUE(b_reply.has_value());
+  EXPECT_EQ(b_reply->status, HubStatus::Ok);
+  EXPECT_LT(b_arrived, a_arrived[kBurst - 1])
+      << "channel B's payment waited for channel A's whole burst";
 }
 
 TEST_F(NetHubLoopback, StatsRequestScrapesOverTheSamePort) {

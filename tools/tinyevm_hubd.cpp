@@ -1,17 +1,22 @@
 // tinyevm-hubd — the networked channel hub daemon. Binds a TCP port,
 // speaks the src/net frame protocol (RLP message bodies, version byte,
-// per-frame CRC), and feeds decoded requests to an in-process ChannelHub
-// through its batched worker-pool path. SIGINT/SIGTERM trigger a graceful
-// drain: in-flight batches finish, write queues flush (bounded by
-// --drain-ms), then the process exits 0.
+// per-frame CRC), and submits each decoded request to an in-process
+// ChannelHub, whose workers serve every channel's requests in order from
+// its mailbox, up to --batch-max per pick-up. SIGINT/SIGTERM trigger a
+// graceful drain: every submitted request is answered, write queues flush
+// (bounded by --drain-ms), then the process exits 0. A numeric option that
+// is not a whole number in range exits 2 before anything binds.
 //
 //   tinyevm-hubd --port 9545 --workers 4
 //   tinyevm-hubd --port 0 --port-file /tmp/hubd.port   # ephemeral port
 //   tinyevm-hubload --port-file /tmp/hubd.port ...     # companion client
+#include <charconv>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 #include "channel/hub.hpp"
 #include "evm/code_cache.hpp"
@@ -40,6 +45,27 @@ bool write_port_file(const std::string& path, std::uint16_t port) {
   return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
+/// Parses the whole of `value` as a decimal integer in [min, max of T];
+/// otherwise says why on stderr and returns false. Unsigned T rejects a
+/// sign, so a negative value never wraps into a huge count.
+template <typename T>
+bool parse_number(const char* flag, std::string_view value, T& out,
+                  T min = 0) {
+  T parsed{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  if (ec != std::errc{} || ptr != end || parsed < min) {
+    std::fprintf(stderr, "bad %s '%.*s' (want an integer in [%llu, %llu])\n",
+                 flag, static_cast<int>(value.size()), value.data(),
+                 static_cast<unsigned long long>(min),
+                 static_cast<unsigned long long>(
+                     std::numeric_limits<T>::max()));
+    return false;
+  }
+  out = parsed;
+  return true;
+}
+
 void usage() {
   std::printf(
       "usage: tinyevm-hubd [options]\n"
@@ -50,7 +76,9 @@ void usage() {
       "  --engine <name>       hub execution engine (default: profile)\n"
       "  --sensor <dev>=<val>  hub-side sensor default (default 7=21)\n"
       "  --inflight <n>        per-connection request budget (default 64)\n"
-      "  --batch-max <n>       max requests per hub batch (default 256)\n"
+      "  --batch-max <n>       max requests a worker serves from one "
+      "channel per\n"
+      "                        pick-up (default 256)\n"
       "  --drain-ms <n>        graceful-drain deadline (default 2000)\n"
       "  --key-seed <s>        hub key seed (default hub-key)\n"
       "  --anchor <s>          on-chain anchor preimage (default "
@@ -61,6 +89,8 @@ void usage() {
 
 int main(int argc, char** argv) {
   std::uint16_t port = 9545;
+  std::size_t batch_max = ChannelHub::Config{}.batch_max;
+  std::uint32_t drain_ms = 2000;
   std::string bind_address = "127.0.0.1";
   std::string port_file;
   std::size_t workers = 2;
@@ -79,7 +109,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (arg == "--port" && i + 1 < argc) {
-      port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
+      if (!parse_number("--port", argv[++i], port)) return 2;
       continue;
     }
     if (arg == "--bind" && i + 1 < argc) {
@@ -91,7 +121,7 @@ int main(int argc, char** argv) {
       continue;
     }
     if (arg == "--workers" && i + 1 < argc) {
-      workers = static_cast<std::size_t>(std::atol(argv[++i]));
+      if (!parse_number("--workers", argv[++i], workers)) return 2;
       continue;
     }
     if (arg == "--engine" && i + 1 < argc) {
@@ -106,26 +136,30 @@ int main(int argc, char** argv) {
                      spec.c_str());
         return 2;
       }
-      sensor_dev =
-          static_cast<std::uint32_t>(std::atol(spec.substr(0, eq).c_str()));
-      sensor_val = static_cast<std::uint64_t>(
-          std::atoll(spec.substr(eq + 1).c_str()));
+      const std::string_view view = spec;
+      if (!parse_number("--sensor device", view.substr(0, eq), sensor_dev) ||
+          !parse_number("--sensor value", view.substr(eq + 1), sensor_val)) {
+        return 2;
+      }
       sensor_set = true;
       continue;
     }
     if (arg == "--inflight" && i + 1 < argc) {
-      server_config.inflight_budget =
-          static_cast<std::size_t>(std::atol(argv[++i]));
+      if (!parse_number("--inflight", argv[++i],
+                        server_config.inflight_budget)) {
+        return 2;
+      }
       continue;
     }
     if (arg == "--batch-max" && i + 1 < argc) {
-      server_config.batch_max =
-          static_cast<std::size_t>(std::atol(argv[++i]));
+      if (!parse_number("--batch-max", argv[++i], batch_max,
+                        std::size_t{1})) {
+        return 2;
+      }
       continue;
     }
     if (arg == "--drain-ms" && i + 1 < argc) {
-      server_config.drain_deadline =
-          std::chrono::milliseconds(std::atol(argv[++i]));
+      if (!parse_number("--drain-ms", argv[++i], drain_ms)) return 2;
       continue;
     }
     if (arg == "--key-seed" && i + 1 < argc) {
@@ -147,6 +181,7 @@ int main(int argc, char** argv) {
   ChannelHub::Config hub_config;
   hub_config.workers = workers;
   hub_config.engine = engine;
+  hub_config.batch_max = batch_max;
   ChannelHub hub("hubd", PrivateKey::from_seed(key_seed), keccak256(anchor),
                  hub_config);
   hub.set_sensor_default(sensor_dev, U256{sensor_val});
@@ -154,6 +189,7 @@ int main(int argc, char** argv) {
 
   server_config.bind_address = bind_address;
   server_config.port = port;
+  server_config.drain_deadline = std::chrono::milliseconds(drain_ms);
   net::HubServer server(hub, server_config);
   // Handlers go in before bind(): once the port file exists a client may
   // signal at once, and a stop requested before serve() is kept by the
