@@ -49,6 +49,65 @@ void BM_EcdsaRecover(benchmark::State& state) {
 }
 BENCHMARK(BM_EcdsaRecover);
 
+// Per-primitive rows: what one sign, verify or recover is built from.
+secp256k1::Fe bench_fe(std::string_view seed) {
+  return secp256k1::Fe::from_reduced(U256::from_bytes(keccak256(seed)));
+}
+
+void BM_FieldMul(benchmark::State& state) {
+  auto a = bench_fe("a");
+  const auto b = bench_fe("b");
+  for (auto _ : state) {
+    a = a * b;
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_FieldMul);
+
+void BM_FieldSquare(benchmark::State& state) {
+  auto a = bench_fe("a");
+  for (auto _ : state) {
+    a = a.square();
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_FieldSquare);
+
+void BM_FieldInverse(benchmark::State& state) {
+  const auto a = bench_fe("a");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(a.inverse());
+  }
+}
+BENCHMARK(BM_FieldInverse);
+
+void BM_ScalarInverse(benchmark::State& state) {
+  const auto k = secp256k1::PrivateKey::from_seed("bench").scalar();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(secp256k1::inv_mod_n(k));
+  }
+}
+BENCHMARK(BM_ScalarInverse);
+
+void BM_FixedBaseMul(benchmark::State& state) {
+  const auto k = secp256k1::PrivateKey::from_seed("bench").scalar();
+  const auto g = secp256k1::generator();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(secp256k1::scalar_mul(k, g));
+  }
+}
+BENCHMARK(BM_FixedBaseMul);
+
+void BM_JointMul(benchmark::State& state) {
+  const auto k1 = U256::from_bytes(keccak256("k1"));
+  const auto k2 = U256::from_bytes(keccak256("k2"));
+  const auto q = secp256k1::PrivateKey::from_seed("bench").public_key().point;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(secp256k1::shamir_mul(k1, k2, q));
+  }
+}
+BENCHMARK(BM_JointMul);
+
 void BM_Sha256_64B(benchmark::State& state) {
   const std::vector<std::uint8_t> data(64, 0xAB);
   for (auto _ : state) {

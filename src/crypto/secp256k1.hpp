@@ -24,7 +24,11 @@ U256 field_prime();
 /// Group order n.
 U256 group_order();
 
-/// Element of F_p. Thin wrapper over U256 with fast specialized reduction.
+/// Element of F_p, always fully reduced (< p), in four 64-bit limbs.
+/// Products are schoolbook 4x4 limb multiplies (squares take 10 limb
+/// multiplies, not 16) whose high half folds back limb by limb through
+/// 2^256 ≡ 2^32 + 977. Add, subtract, negate, multiply, square and inverse
+/// run without data-dependent branches.
 class Fe {
  public:
   constexpr Fe() = default;
@@ -40,10 +44,12 @@ class Fe {
   friend Fe operator*(const Fe& a, const Fe& b);
   friend bool operator==(const Fe& a, const Fe& b) = default;
 
-  [[nodiscard]] Fe square() const { return *this * *this; }
-  /// Multiplicative inverse via Fermat (a^(p-2)); inverse of 0 is 0.
+  [[nodiscard]] Fe square() const;
+  /// Multiplicative inverse a^(p-2) by the standard secp256k1 addition
+  /// chain (255 squarings, 15 multiplies); inverse of 0 is 0.
   [[nodiscard]] Fe inverse() const;
-  /// Square root if it exists (p ≡ 3 mod 4, so a^((p+1)/4)).
+  /// Square root if it exists: p ≡ 3 mod 4, so a^((p+1)/4), by the matching
+  /// addition chain (253 squarings, 13 multiplies).
   [[nodiscard]] std::optional<Fe> sqrt() const;
   [[nodiscard]] Fe negate() const;
 
@@ -78,10 +84,24 @@ AffinePoint generator();
 
 JacobianPoint add(const JacobianPoint& p, const JacobianPoint& q);
 JacobianPoint double_point(const JacobianPoint& p);
-/// Scalar multiplication k*P (double-and-add, MSB first).
+/// Scalar multiplication k*P for any 256-bit k. For P = G it is a
+/// fixed-base comb over a 60 KB table of j·16^i·G (built on first use):
+/// 64 mixed additions, constant-time in k, which is what key derivation and
+/// signing use. Any other P takes shamir_mul's variable-time path, so pass
+/// it only public scalars.
 JacobianPoint scalar_mul(const U256& k, const AffinePoint& p);
-/// k1*G + k2*P in one pass (Shamir's trick) — the ECDSA-verify hot path.
+/// k1*G + k2*P in one pass: an interleaved wNAF multiply sharing one chain
+/// of doublings, with window 8 over a static table of odd multiples of G
+/// (4 KB) and window 5 over odd multiples of P computed per call. Variable
+/// time: it serves verify and recover, whose scalars are public.
 JacobianPoint shamir_mul(const U256& k1, const U256& k2, const AffinePoint& p);
+
+/// Scalar-field product a*b mod n (specialised folding reduction through
+/// 2^256 - n < 2^129; branch-free).
+U256 mul_mod_n(const U256& a, const U256& b);
+/// Scalar-field inverse a^(n-2) mod n (Fermat, fixed 4-bit window over the
+/// public exponent; inverse of 0 is 0).
+U256 inv_mod_n(const U256& a);
 
 /// 20-byte Ethereum address.
 using Address = std::array<std::uint8_t, 20>;

@@ -513,8 +513,30 @@ TEST(ChannelHubTelemetry, BatchSplitsQueueWaitFromServiceTime) {
     ASSERT_TRUE(update.has_value());
     updates.push_back(std::move(*update));
   }
-  const auto responses = hub->handle_batch(updates);
-  ASSERT_EQ(responses.size(), kSessions);
+  // The first payment's reply holds the only worker until every payment is
+  // queued, so the rest queue behind it whatever the scheduler does: a
+  // waking worker may otherwise finish one payment before the submitting
+  // thread runs again.
+  std::vector<HubResponse> responses(kSessions);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool all_queued = false;
+  std::size_t replied = 0;
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    hub->submit(updates[i], [&, i](HubResponse response) {
+      std::unique_lock lock(mu);
+      responses[i] = std::move(response);
+      cv.wait(lock, [&] { return all_queued; });
+      ++replied;
+      cv.notify_all();
+    });
+  }
+  {
+    std::unique_lock lock(mu);
+    all_queued = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return replied == kSessions; });
+  }
   std::uint32_t max_queue = 0;
   std::uint32_t min_service = ~std::uint32_t{0};
   for (const auto& response : responses) {
@@ -550,13 +572,54 @@ TEST(ChannelHubTelemetry, RegistryCountersTrackTheWorkload) {
   obs::set_metrics_enabled(true);
   {
     // A unique hub name keeps this test's series out of the ones the other
-    // suites' hubs (all named "hub") feed while metrics are enabled.
+    // suites' hubs (all named "hub") feed while metrics are enabled. The
+    // registry is process-global and its interned counters outlive the hub,
+    // so a repeated run (--gtest_repeat) starts from the previous run's
+    // totals: every check below is a delta across the workload.
     ChannelHub::Config config;
     config.workers = 1;
     config.code_cache = std::make_shared<evm::CodeCache>();
     ChannelHub hub("hub-telemetry", hub_key(), anchor(), config);
     hub.set_sensor_default(kDev, U256{21});
     auto car = make_car();
+
+    // Value of one series, or of a histogram's sample count; 0 while absent.
+    auto series_value = [](const std::string& name,
+                           const obs::LabelSet& labels) -> double {
+      for (const auto& family : obs::Registry::instance().collect()) {
+        if (family.name != name) continue;
+        for (const auto& sample : family.samples) {
+          if (sample.labels != labels) continue;
+          return family.type == obs::MetricType::Histogram
+                     ? static_cast<double>(sample.histogram.count)
+                     : sample.value;
+        }
+      }
+      return 0.0;
+    };
+    const std::vector<std::pair<std::string, obs::LabelSet>> series{
+        {"tinyevm_hub_requests_total",
+         {{"hub", "hub-telemetry"}, {"kind", "open"}, {"status", "ok"}}},
+        {"tinyevm_hub_requests_total",
+         {{"hub", "hub-telemetry"}, {"kind", "payment"}, {"status", "ok"}}},
+        {"tinyevm_hub_requests_total",
+         {{"hub", "hub-telemetry"}, {"kind", "close"}, {"status", "ok"}}},
+        {"tinyevm_hub_requests_total",
+         {{"hub", "hub-telemetry"},
+          {"kind", "open"},
+          {"status", "duplicate-channel"}}},
+        // The collector publishes the hub's lifetime stats while it is
+        // alive.
+        {"tinyevm_hub_opens_total", {{"hub", "hub-telemetry"}}},
+        {"tinyevm_hub_payments_total", {{"hub", "hub-telemetry"}}},
+        // The per-kind service histogram saw exactly one ok payment.
+        {"tinyevm_hub_service_us",
+         {{"hub", "hub-telemetry"}, {"kind", "payment"}}},
+    };
+    std::vector<double> before;
+    for (const auto& [name, labels] : series) {
+      before.push_back(series_value(name, labels));
+    }
 
     const auto open = car.open_request(U256{1}, kRate, kDev);
     ASSERT_TRUE(open.has_value());
@@ -571,52 +634,10 @@ TEST(ChannelHubTelemetry, RegistryCountersTrackTheWorkload) {
     EXPECT_NE(hub.handle(OpenRequest{U256{1}, kRate, kDev}).status,
               HubStatus::Ok);
 
-    auto series_value = [](const std::string& name, const obs::LabelSet& labels)
-        -> double {
-      for (const auto& family : obs::Registry::instance().collect()) {
-        if (family.name != name) continue;
-        for (const auto& sample : family.samples) {
-          if (sample.labels == labels) return sample.value;
-        }
-      }
-      return -1.0;
-    };
-    EXPECT_EQ(series_value("tinyevm_hub_requests_total",
-                           {{"hub", "hub-telemetry"},
-                            {"kind", "open"},
-                            {"status", "ok"}}),
-              1.0);
-    EXPECT_EQ(series_value("tinyevm_hub_requests_total",
-                           {{"hub", "hub-telemetry"},
-                            {"kind", "payment"},
-                            {"status", "ok"}}),
-              1.0);
-    EXPECT_EQ(series_value("tinyevm_hub_requests_total",
-                           {{"hub", "hub-telemetry"},
-                            {"kind", "close"},
-                            {"status", "ok"}}),
-              1.0);
-    EXPECT_EQ(series_value("tinyevm_hub_requests_total",
-                           {{"hub", "hub-telemetry"},
-                            {"kind", "open"},
-                            {"status", "duplicate-channel"}}),
-              1.0);
-    // The collector publishes the hub's lifetime stats while it is alive.
-    EXPECT_EQ(series_value("tinyevm_hub_opens_total",
-                           {{"hub", "hub-telemetry"}}),
-              1.0);
-    EXPECT_EQ(series_value("tinyevm_hub_payments_total",
-                           {{"hub", "hub-telemetry"}}),
-              1.0);
-    // The per-kind service histograms saw exactly one ok request each.
-    for (const auto& family : obs::Registry::instance().collect()) {
-      if (family.name != "tinyevm_hub_service_us") continue;
-      for (const auto& sample : family.samples) {
-        obs::LabelSet want{{"hub", "hub-telemetry"}, {"kind", "payment"}};
-        if (sample.labels == want) {
-          EXPECT_EQ(sample.histogram.count, 1u);
-        }
-      }
+    for (std::size_t i = 0; i < series.size(); ++i) {
+      EXPECT_EQ(series_value(series[i].first, series[i].second) - before[i],
+                1.0)
+          << series[i].first;
     }
   }
   obs::set_metrics_enabled(false);

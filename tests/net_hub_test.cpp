@@ -522,8 +522,11 @@ TEST_F(NetHubLoopback, BackpressureAnswersBusyPastTheBudget) {
 TEST_F(NetHubLoopback, LatePaymentIsNotHeldBehindABusySession) {
   // Two workers: channel A's pipelined payments keep one busy, so a
   // payment for channel B that arrives meanwhile must be served by the
-  // other at once, not after A's whole run.
-  constexpr std::size_t kBurst = 16;
+  // other at once, not after A's whole run. A payment costs the hub a few
+  // hundred microseconds of ECDSA, so the burst is as long as the inflight
+  // budget allows: A's run then outlasts B's round trip by a wide margin
+  // even when the test shares a loaded machine.
+  constexpr std::size_t kBurst = 64;
   start({}, /*workers=*/2);
   auto conn_a = connect();
   auto conn_b = connect();

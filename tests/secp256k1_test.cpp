@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <optional>
 #include <random>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "crypto/hash.hpp"
 
@@ -365,6 +371,422 @@ TEST(Signature, DeserializeAcceptsRawRecoveryId) {
   const auto parsed = Signature::deserialize(buf);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->recovery_id, 1);
+}
+
+
+// ---------------------------------------------------------------------------
+// Reference implementation: the original bit-serial code, kept as an oracle
+// for the optimised one. Field products fold the high half with a second
+// U512::mul, field inverses and square roots are Fermat ladders, k·P is
+// double-and-add from the top bit, the joint multiply is bit-serial
+// Shamir, and verify converts to affine before comparing. Scalar products
+// use the generic U256::mulmod. The scalar inverse keeps the bit-serial
+// Fermat ladder but multiplies with mul_mod_n (checked against
+// U256::mulmod below): U256::mulmod's bit-serial division would make each
+// inverse cost milliseconds and the randomized differential minutes.
+namespace ref {
+
+const U256 kP = field_prime();
+const U256 kN = group_order();
+
+U256 mul_p(const U256& a, const U256& b) {
+  const U512 wide = U512::mul(a, b);
+  const U256 lo{wide.limb(3), wide.limb(2), wide.limb(1), wide.limb(0)};
+  const U256 hi{wide.limb(7), wide.limb(6), wide.limb(5), wide.limb(4)};
+  // 2^256 ≡ 2^32 + 977 (mod p).
+  const U256 c{0x1000003D1ULL};
+  const U512 hi_c = U512::mul(hi, c);
+  const U256 hi_c_lo{hi_c.limb(3), hi_c.limb(2), hi_c.limb(1), hi_c.limb(0)};
+  U256 r = lo + hi_c_lo;
+  const std::uint64_t carry = (r < lo ? 1 : 0) + hi_c.limb(4);
+  const U256 fold = U256{carry} * c;
+  const U256 sum = r + fold;
+  r = sum < r ? sum + c : sum;
+  while (r >= kP) r -= kP;
+  return r;
+}
+
+U256 add_p(const U256& a, const U256& b) {
+  U256 r = a + b;
+  if (r < a || r >= kP) r -= kP;
+  return r;
+}
+
+U256 sub_p(const U256& a, const U256& b) {
+  return a >= b ? a - b : a + (kP - b);
+}
+
+/// base^e mod p, square-and-multiply from the low bit.
+U256 pow_p(U256 base, const U256& e) {
+  U256 result{1};
+  for (unsigned i = 0; i < e.bit_length(); ++i) {
+    if (e.bit(i)) result = mul_p(result, base);
+    base = mul_p(base, base);
+  }
+  return result;
+}
+
+U256 inv_p(const U256& a) { return pow_p(a, kP - U256{2}); }
+
+std::optional<U256> sqrt_p(const U256& a) {
+  const U256 r = pow_p(a, (kP + U256{1}) >> 2);
+  if (mul_p(r, r) == a) return r;
+  return std::nullopt;
+}
+
+/// Fermat inverse mod n over the generic U256::mulmod.
+U256 inv_n_mulmod(const U256& a) {
+  U256 result{1};
+  U256 base = a % kN;
+  const U256 e = kN - U256{2};
+  for (unsigned i = 0; i < e.bit_length(); ++i) {
+    if (e.bit(i)) result = U256::mulmod(result, base, kN);
+    base = U256::mulmod(base, base, kN);
+  }
+  return result;
+}
+
+/// Fermat inverse mod n, bit-serial, over mul_mod_n.
+U256 inv_n(const U256& a) {
+  U256 result{1};
+  U256 base = a % kN;
+  const U256 e = kN - U256{2};
+  for (unsigned i = 0; i < e.bit_length(); ++i) {
+    if (e.bit(i)) result = mul_mod_n(result, base);
+    base = mul_mod_n(base, base);
+  }
+  return result;
+}
+
+/// Jacobian point; z == 0 is the identity.
+struct Point {
+  U256 x{1};
+  U256 y{1};
+  U256 z{0};
+};
+
+Point from_affine(const AffinePoint& p) {
+  if (p.infinity) return Point{};
+  return {p.x.value(), p.y.value(), U256{1}};
+}
+
+AffinePoint to_affine(const Point& p) {
+  if (p.z.is_zero()) return AffinePoint{};
+  const U256 zi = inv_p(p.z);
+  const U256 zi2 = mul_p(zi, zi);
+  return AffinePoint{Fe{mul_p(p.x, zi2)}, Fe{mul_p(mul_p(p.y, zi2), zi)},
+                     false};
+}
+
+Point dbl(const Point& p) {
+  if (p.z.is_zero() || p.y.is_zero()) return Point{};
+  const U256 a = mul_p(p.x, p.x);
+  const U256 b = mul_p(p.y, p.y);
+  const U256 c = mul_p(b, b);
+  const U256 xb = add_p(p.x, b);
+  U256 d = sub_p(sub_p(mul_p(xb, xb), a), c);
+  d = add_p(d, d);
+  const U256 e = add_p(add_p(a, a), a);
+  const U256 x3 = sub_p(mul_p(e, e), add_p(d, d));
+  U256 c8 = add_p(c, c);
+  c8 = add_p(c8, c8);
+  c8 = add_p(c8, c8);
+  const U256 y3 = sub_p(mul_p(e, sub_p(d, x3)), c8);
+  const U256 yz = mul_p(p.y, p.z);
+  return {x3, y3, add_p(yz, yz)};
+}
+
+Point add(const Point& p, const Point& q) {
+  if (p.z.is_zero()) return q;
+  if (q.z.is_zero()) return p;
+  const U256 z1z1 = mul_p(p.z, p.z);
+  const U256 z2z2 = mul_p(q.z, q.z);
+  const U256 u1 = mul_p(p.x, z2z2);
+  const U256 u2 = mul_p(q.x, z1z1);
+  const U256 s1 = mul_p(mul_p(p.y, q.z), z2z2);
+  const U256 s2 = mul_p(mul_p(q.y, p.z), z1z1);
+  if (u1 == u2) return s1 == s2 ? dbl(p) : Point{};
+  const U256 h = sub_p(u2, u1);
+  const U256 i = mul_p(add_p(h, h), add_p(h, h));
+  const U256 j = mul_p(h, i);
+  const U256 r = add_p(sub_p(s2, s1), sub_p(s2, s1));
+  const U256 v = mul_p(u1, i);
+  const U256 x3 = sub_p(sub_p(mul_p(r, r), j), add_p(v, v));
+  const U256 s1j = mul_p(s1, j);
+  const U256 y3 = sub_p(mul_p(r, sub_p(v, x3)), add_p(s1j, s1j));
+  const U256 zz = add_p(p.z, q.z);
+  const U256 z3 = mul_p(sub_p(sub_p(mul_p(zz, zz), z1z1), z2z2), h);
+  return {x3, y3, z3};
+}
+
+/// k·P, double-and-add from the top bit.
+AffinePoint mul(const U256& k, const AffinePoint& p) {
+  Point acc;
+  const Point base = from_affine(p);
+  for (int i = static_cast<int>(k.bit_length()) - 1; i >= 0; --i) {
+    acc = dbl(acc);
+    if (k.bit(static_cast<unsigned>(i))) acc = add(acc, base);
+  }
+  return to_affine(acc);
+}
+
+/// k1·G + k2·P, bit-serial Shamir.
+AffinePoint shamir(const U256& k1, const U256& k2, const AffinePoint& p) {
+  const Point g = from_affine(generator());
+  const Point q = from_affine(p);
+  const Point gq = add(g, q);
+  Point acc;
+  const unsigned bits = std::max(k1.bit_length(), k2.bit_length());
+  for (int i = static_cast<int>(bits) - 1; i >= 0; --i) {
+    acc = dbl(acc);
+    const bool b1 = k1.bit(static_cast<unsigned>(i));
+    const bool b2 = k2.bit(static_cast<unsigned>(i));
+    if (b1 && b2) {
+      acc = add(acc, gq);
+    } else if (b1) {
+      acc = add(acc, g);
+    } else if (b2) {
+      acc = add(acc, q);
+    }
+  }
+  return to_affine(acc);
+}
+
+Signature sign(const Hash256& digest, const PrivateKey& key) {
+  const U256 z = U256::from_bytes(digest) % kN;
+  U256 k = rfc6979_nonce(key.scalar(), digest);
+  for (;;) {
+    const AffinePoint rp = mul(k, generator());
+    const U256 r = rp.x.value() % kN;
+    if (r.is_zero()) {
+      k = U256::addmod(k, U256{1}, kN);
+      continue;
+    }
+    U256 s = U256::mulmod(
+        inv_n(k),
+        U256::addmod(z, U256::mulmod(r, key.scalar(), kN), kN), kN);
+    if (s.is_zero()) {
+      k = U256::addmod(k, U256{1}, kN);
+      continue;
+    }
+    std::uint8_t rec = rp.y.value().bit(0) ? 1 : 0;
+    if (s > (kN >> 1)) {
+      s = kN - s;
+      rec ^= 1;
+    }
+    return Signature{r, s, rec};
+  }
+}
+
+bool verify(const Hash256& digest, const Signature& sig,
+            const PublicKey& pub) {
+  if (sig.r.is_zero() || sig.r >= kN || sig.s.is_zero() || sig.s >= kN) {
+    return false;
+  }
+  if (pub.point.infinity || !pub.point.on_curve()) return false;
+  const U256 z = U256::from_bytes(digest) % kN;
+  const U256 s_inv = inv_n(sig.s);
+  const AffinePoint rp = shamir(U256::mulmod(z, s_inv, kN),
+                                U256::mulmod(sig.r, s_inv, kN), pub.point);
+  if (rp.infinity) return false;
+  return rp.x.value() % kN == sig.r;
+}
+
+std::optional<PublicKey> recover(const Hash256& digest, const Signature& sig) {
+  if (sig.r.is_zero() || sig.r >= kN || sig.s.is_zero() || sig.s >= kN) {
+    return std::nullopt;
+  }
+  const U256 y2 = add_p(mul_p(mul_p(sig.r, sig.r), sig.r), U256{7});
+  const auto root = sqrt_p(y2);
+  if (!root) return std::nullopt;
+  U256 y = *root;
+  if (y.bit(0) != (sig.recovery_id == 1)) y = sub_p(U256{0}, y);
+  const AffinePoint rp{Fe{sig.r}, Fe{y}, false};
+  const U256 r_inv = inv_n(sig.r);
+  const U256 z = U256::from_bytes(digest) % kN;
+  const U256 u1 = U256::mulmod(kN - z, r_inv, kN);
+  const U256 u2 = U256::mulmod(sig.s, r_inv, kN);
+  const AffinePoint q = shamir(u1, u2, rp);
+  if (q.infinity) return std::nullopt;
+  return PublicKey{q};
+}
+
+}  // namespace ref
+
+U256 random_u256(std::mt19937_64& rng) {
+  return U256{rng(), rng(), rng(), rng()};
+}
+
+/// Scalars at the edges of the comb's windows and the wNAF recoding.
+std::vector<U256> edge_scalars() {
+  const U256 n = group_order();
+  return {U256{0},     U256{1},           U256{2},
+          n - U256{1}, n - U256{2},       U256{1} << 255,
+          (U256{1} << 255) - U256{1},     n, U256::max()};
+}
+
+TEST(Secp256k1Reference, ScalarProductMatchesGenericMulmod) {
+  std::mt19937_64 rng(29);
+  const U256 n = group_order();
+  std::vector<std::pair<U256, U256>> cases;
+  for (const U256& a : edge_scalars()) {
+    for (const U256& b : edge_scalars()) cases.emplace_back(a, b);
+  }
+  for (int i = 0; i < 1000; ++i) {
+    cases.emplace_back(random_u256(rng), random_u256(rng) % n);
+  }
+  for (const auto& [a, b] : cases) {
+    EXPECT_EQ(mul_mod_n(a, b), U256::mulmod(a, b, n))
+        << a.to_hex() << " * " << b.to_hex();
+  }
+}
+
+TEST(Secp256k1Reference, ScalarInverseMatchesFermat) {
+  std::mt19937_64 rng(31);
+  const U256 n = group_order();
+  std::vector<U256> values{U256{1}, n - U256{1}, U256{2}, n - U256{2}};
+  for (int i = 0; i < 4; ++i) values.push_back(random_u256(rng) % n);
+  for (const U256& v : values) {
+    const U256 inv = inv_mod_n(v);
+    EXPECT_EQ(inv, ref::inv_n_mulmod(v)) << v.to_hex();
+    EXPECT_EQ(U256::mulmod(inv, v, n), U256{1}) << v.to_hex();
+  }
+}
+
+TEST(Secp256k1Reference, FieldInverseAndSqrtMatchFermat) {
+  std::mt19937_64 rng(37);
+  const U256 p = field_prime();
+  std::vector<U256> values{U256{0}, U256{1}, p - U256{1}, U256{2},
+                           U256{4}, p - U256{4}};
+  for (int i = 0; i < 200; ++i) values.push_back(random_u256(rng) % p);
+  int roots = 0;
+  for (const U256& v : values) {
+    const Fe a{v};
+    EXPECT_EQ(a.inverse().value(), ref::inv_p(v)) << v.to_hex();
+    EXPECT_EQ(a.square().value(), ref::mul_p(v, v)) << v.to_hex();
+    const auto root = a.sqrt();
+    const auto want = ref::sqrt_p(v);
+    ASSERT_EQ(root.has_value(), want.has_value()) << v.to_hex();
+    if (root) {
+      EXPECT_EQ(root->value(), *want) << v.to_hex();
+      ++roots;
+    }
+  }
+  // About half of the random values are squares; the edges add 0, 1, 4.
+  EXPECT_GT(roots, 50);
+}
+
+TEST(Secp256k1Reference, FieldProductWhoseFoldCarriesPast2To256) {
+  // For 2^240 * b the high half times 2^32 + 977 plus the low half lands
+  // just below 2^257, so folding that sum's carry limb carries past 2^256
+  // once more: the rare case of the reduction, which random operands reach
+  // with probability ~2^-188.
+  const U256 a = U256{1} << 240;
+  const U256 b =
+      hex("1fffff85e001d214190d414c6469cb74c83e874fc95d988081ccfd90a0000");
+  EXPECT_EQ((Fe{a} * Fe{b}).value(), hex("1f53b56cc"));
+  EXPECT_EQ((Fe{a} * Fe{b}).value(), ref::mul_p(a, b));
+}
+
+TEST(Secp256k1Reference, EdgeScalarsThroughFixedBaseAndJointMultiply) {
+  const AffinePoint q = PrivateKey::from_seed("edge").public_key().point;
+  for (const U256& k : edge_scalars()) {
+    EXPECT_EQ(scalar_mul(k, generator()).to_affine(),
+              ref::mul(k, generator()))
+        << "fixed base, k = " << k.to_hex();
+    EXPECT_EQ(scalar_mul(k, q).to_affine(), ref::mul(k, q))
+        << "variable base, k = " << k.to_hex();
+    for (const U256& k2 : edge_scalars()) {
+      EXPECT_EQ(shamir_mul(k, k2, q).to_affine(), ref::shamir(k, k2, q))
+          << "joint, k1 = " << k.to_hex() << ", k2 = " << k2.to_hex();
+    }
+  }
+}
+
+TEST(Secp256k1Reference, MultipliesMatchOnRandomScalars) {
+  std::mt19937_64 rng(41);
+  const AffinePoint q =
+      PrivateKey::from_seed("random-point").public_key().point;
+  for (int i = 0; i < 20; ++i) {
+    const U256 k1 = random_u256(rng);
+    const U256 k2 = random_u256(rng);
+    EXPECT_EQ(scalar_mul(k1, generator()).to_affine(),
+              ref::mul(k1, generator()));
+    EXPECT_EQ(shamir_mul(k1, k2, q).to_affine(), ref::shamir(k1, k2, q));
+  }
+}
+
+// ≥1,000 seeded (key, digest) pairs, in shards so ctest can spread them.
+constexpr int kDifferentialShards = 8;
+constexpr int kPairsPerShard = 125;
+
+class Secp256k1Differential : public ::testing::TestWithParam<int> {};
+
+TEST_P(Secp256k1Differential, SignVerifyRecoverMatchReference) {
+  std::mt19937_64 rng(1000 + static_cast<std::uint64_t>(GetParam()));
+  for (int i = 0; i < kPairsPerShard; ++i) {
+    Hash256 seed{};
+    for (auto& byte : seed) byte = static_cast<std::uint8_t>(rng());
+    const auto key = PrivateKey::from_bytes(seed);
+    if (!key) continue;  // outside [1, n-1]: probability ~2^-128
+    Hash256 digest{};
+    for (auto& byte : digest) byte = static_cast<std::uint8_t>(rng());
+    SCOPED_TRACE("pair " + std::to_string(i) + ", key " +
+                 key->scalar().to_hex());
+
+    const Signature sig = sign(digest, *key);
+    ASSERT_EQ(sig.serialize(), ref::sign(digest, *key).serialize());
+    const PublicKey pub = key->public_key();
+    EXPECT_EQ(pub.point, ref::mul(key->scalar(), generator()));
+
+    Hash256 flipped = digest;
+    flipped[static_cast<std::size_t>(rng() % 32)] ^=
+        static_cast<std::uint8_t>(1u << (rng() % 8));
+    Signature wrong_id = sig;
+    wrong_id.recovery_id ^= 1;
+
+    EXPECT_TRUE(verify(digest, sig, pub));
+    EXPECT_EQ(verify(digest, sig, pub), ref::verify(digest, sig, pub));
+    EXPECT_EQ(verify(flipped, sig, pub), ref::verify(flipped, sig, pub));
+    EXPECT_EQ(recover(digest, sig), ref::recover(digest, sig));
+    EXPECT_EQ(recover(flipped, sig), ref::recover(flipped, sig));
+    EXPECT_EQ(recover(digest, wrong_id), ref::recover(digest, wrong_id));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeded, Secp256k1Differential,
+                         ::testing::Range(0, kDifferentialShards));
+
+// The comb table is built on first use behind a function-local static.
+// ctest runs every test in its own process, so here the eight threads race
+// to that first use; the results must equal a serial rerun.
+TEST(Secp256k1Concurrency, FirstUseFromManyThreads) {
+  constexpr int kThreads = 8;
+  std::vector<PrivateKey> keys;
+  std::vector<Hash256> digests;
+  for (int t = 0; t < kThreads; ++t) {
+    keys.push_back(PrivateKey::from_seed("thread-" + std::to_string(t)));
+    digests.push_back(keccak256("payment from thread " + std::to_string(t)));
+  }
+  std::vector<Signature> sigs(kThreads);
+  std::vector<std::optional<PublicKey>> recovered(kThreads);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      sigs[t] = sign(digests[t], keys[t]);
+      recovered[t] = recover(digests[t], sigs[t]);
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(sigs[t], sign(digests[t], keys[t]));
+    EXPECT_EQ(recovered[t], recover(digests[t], sigs[t]));
+    ASSERT_TRUE(recovered[t].has_value());
+    EXPECT_EQ(*recovered[t], keys[t].public_key());
+  }
 }
 
 }  // namespace
