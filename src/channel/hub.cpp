@@ -363,7 +363,6 @@ ChannelHub::ChannelHub(std::string name, const PrivateKey& key,
       cache_(config.code_cache ? std::move(config.code_cache)
                                : evm::CodeCache::shared_default()),
       pool_(config.workers) {
-  if (!config.engine.empty()) vm_config_.engine = config.engine;
   const std::size_t workers = pool_.thread_count();
   vms_.reserve(workers);
   {
@@ -642,18 +641,6 @@ void ChannelHub::run_mailbox(const U256& channel_id) {
 
 HubResponse ChannelHub::handle(const HubRequest& request) {
   return std::move(handle_batch({&request, 1}).front());
-}
-
-HubResponse ChannelHub::handle(const OpenRequest& request) {
-  return handle(HubRequest{request});
-}
-
-HubResponse ChannelHub::handle(const PaymentUpdate& request) {
-  return handle(HubRequest{request});
-}
-
-HubResponse ChannelHub::handle(const CloseRequest& request) {
-  return handle(HubRequest{request});
 }
 
 std::vector<HubResponse> ChannelHub::handle_batch(

@@ -331,9 +331,6 @@ class ChannelHub {
     /// Translation cache shared by every worker Vm; null = the process
     /// default (CodeCache::shared_default()).
     std::shared_ptr<evm::CodeCache> code_cache;
-    /// Execution engine for every worker Vm (EngineRegistry name). Empty =
-    /// whatever vm_config selects; unknown names make the ctor throw.
-    std::string engine;
     /// Most requests one worker pick-up serves from a channel's mailbox
     /// before the mailbox goes back to the pool's tail; 0 makes the ctor
     /// throw.
@@ -385,9 +382,6 @@ class ChannelHub {
   void submit(HubRequest request, Reply reply);
 
   /// submit() and wait for the response.
-  HubResponse handle(const OpenRequest& request);
-  HubResponse handle(const PaymentUpdate& request);
-  HubResponse handle(const CloseRequest& request);
   HubResponse handle(const HubRequest& request);
 
   /// Submits every request, in order, and waits for all responses.
@@ -460,7 +454,7 @@ class ChannelHub {
   std::string name_;
   PrivateKey key_;
   Hash256 onchain_root_;
-  evm::VmConfig vm_config_;
+  const evm::VmConfig vm_config_;
   std::size_t batch_max_;
   std::shared_ptr<evm::CodeCache> cache_;
   SensorBank sensor_defaults_;

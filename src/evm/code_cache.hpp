@@ -67,7 +67,7 @@ class CodeCache {
     /// so the counter itself is unbounded over a run.
     std::uint64_t dup_translations = 0;
     /// Shard-mutex acquisitions that found the lock already held and had
-    /// to wait — the contention signal the channel-hub bench reports.
+    /// to wait; scraped per shard as tinyevm_cache_lock_contentions_total.
     std::uint64_t lock_contentions = 0;
     std::size_t bytes = 0;         ///< resident decoded-program bytes
     std::size_t entries = 0;

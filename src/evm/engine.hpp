@@ -6,10 +6,10 @@
 // Host subclass, a VmConfig, or the cache directly. The three interpreter
 // strategies that grew inside vm.cpp — raw token-threaded, checked
 // pre-decoded, and check-elided — are separate engines behind this
-// boundary, registered in the process-wide EngineRegistry and selectable
-// per-call. A future engine (the template JIT the ROADMAP scopes) plugs in
-// by registering here and is differential-tested for free: the N-way
-// harness in tests/evm_dispatch_test.cpp enumerates the registry.
+// boundary, registered in the process-wide EngineRegistry and selected by
+// VmConfig::engine. A future engine (the template JIT the ROADMAP scopes)
+// plugs in by registering here and is differential-tested for free: the
+// N-way harness in tests/evm_dispatch_test.cpp enumerates the registry.
 #pragma once
 
 #include <cstdint>
@@ -225,7 +225,7 @@ class EngineRegistry {
   /// Nullptr when no engine has that name.
   [[nodiscard]] const ExecutionEngine* find(std::string_view name) const;
   /// Like find(), but throws std::invalid_argument naming the available
-  /// engines — the error surface for VmConfig::engine / Message::engine.
+  /// engines — the error surface for VmConfig::engine.
   [[nodiscard]] const ExecutionEngine& require(std::string_view name) const;
   /// Registration order; the built-ins come first, raw (the semantic
   /// reference) leading.

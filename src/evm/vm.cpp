@@ -84,17 +84,12 @@ Vm::Vm(VmConfig config, std::shared_ptr<CodeCache> cache)
       cache_(cache ? std::move(cache) : CodeCache::shared_default()) {}
 
 ExecResult Vm::execute(Host& host, const Message& msg) const {
-  const ExecutionEngine* engine = engine_;
-  if (!msg.engine.empty() && msg.engine != engine->name()) {
-    engine = &EngineRegistry::instance().require(msg.engine);
-  }
-
   // A translation-consuming engine executes the cached pre-decoded
   // stream. A null program (empty code, or code past the cache's size
   // cap) falls back to the raw threaded loop inside the engine, which
   // decodes per run.
   std::shared_ptr<const DecodedProgram> program;
-  if (engine->uses_translation()) {
+  if (engine_->uses_translation()) {
     program = cache_->get_or_translate(
         msg.code, profile_.translation(),
         msg.code_hash ? &*msg.code_hash : nullptr);
@@ -120,18 +115,18 @@ ExecResult Vm::execute(Host& host, const Message& msg) const {
   ctx.program = program.get();
 
   if (!obs::metrics_enabled() && !obs::trace_enabled()) {
-    return engine->execute(host_interface, ctx, engine_msg);
+    return engine_->execute(host_interface, ctx, engine_msg);
   }
 
   obs::Span span("vm.execute", "vm");
   const auto start = std::chrono::steady_clock::now();
-  ExecResult result = engine->execute(host_interface, ctx, engine_msg);
+  ExecResult result = engine_->execute(host_interface, ctx, engine_msg);
   if (obs::metrics_enabled()) {
     const auto elapsed_us =
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - start)
             .count();
-    EngineInstruments& inst = instruments_for(engine->name());
+    EngineInstruments& inst = instruments_for(engine_->name());
     const auto status = static_cast<std::size_t>(result.status);
     if (status < EngineInstruments::kStatuses) inst.executions[status]->inc();
     inst.ops->inc(result.stats.ops_executed);

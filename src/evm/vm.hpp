@@ -84,9 +84,6 @@ struct Message {
   std::int64_t gas = 10'000'000;
   int depth = 0;
   bool is_static = false;
-  /// Per-call engine override (EngineRegistry name). Empty = the Vm's
-  /// configured engine; unknown names make Vm::execute throw.
-  std::string engine;
   /// Optional jump-trace collector, forwarded to the engine (see
   /// EngineMessage::jump_trace). Test/fuzz instrumentation only.
   std::vector<JumpEdge>* jump_trace = nullptr;
@@ -135,8 +132,6 @@ class Vm {
     return cache_;
   }
 
-  /// Throws std::invalid_argument when msg.engine names no registered
-  /// engine.
   ExecResult execute(Host& host, const Message& msg) const;
 
  private:

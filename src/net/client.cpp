@@ -360,7 +360,6 @@ class ShardRunner {
                                                                 s.sent_at)
               .count()));
       report_.service_us.push_back(response.service_us);
-      report_.queue_us.push_back(response.queue_us);
       ++report_.rounds_done;
       ++s.round;
     }
@@ -508,8 +507,6 @@ LoadGenerator::Report LoadGenerator::run() {
                          r.e2e_us.end());
     merged.service_us.insert(merged.service_us.end(), r.service_us.begin(),
                              r.service_us.end());
-    merged.queue_us.insert(merged.queue_us.end(), r.queue_us.begin(),
-                           r.queue_us.end());
   }
   merged.elapsed_s =
       std::chrono::duration_cast<std::chrono::duration<double>>(

@@ -88,10 +88,9 @@ class LoadGenerator {
     std::size_t connect_failures = 0;
     double elapsed_s = 0;
     /// Per payment round, microseconds: end-to-end (send → response) and
-    /// the hub-reported split of that round.
+    /// the hub-reported service time of that round.
     std::vector<std::uint32_t> e2e_us;
     std::vector<std::uint32_t> service_us;
-    std::vector<std::uint32_t> queue_us;
   };
 
   explicit LoadGenerator(Config config) : config_(std::move(config)) {}

@@ -109,9 +109,9 @@ void HubServer::serve() {
   graceful_drain();
 }
 
-void HubServer::pause_dispatch(bool paused) {
-  paused_.store(paused, std::memory_order_relaxed);
-  if (!paused) loop_.defer([this] { submit_held(); });
+void HubServer::hold_requests(bool hold) {
+  holding_.store(hold, std::memory_order_relaxed);
+  if (!hold) loop_.defer([this] { submit_held(); });
 }
 
 HubServer::Stats HubServer::stats() const {
@@ -222,9 +222,9 @@ bool HubServer::drain_frames(Connection& conn) {
       continue;
     }
     ++conn.inflight;
-    // Behind held requests even once unpaused, so a channel's requests
+    // Behind held requests even once released, so a channel's requests
     // reach the hub in arrival order.
-    if (paused_.load(std::memory_order_relaxed) || !held_.empty()) {
+    if (holding_.load(std::memory_order_relaxed) || !held_.empty()) {
       held_.push_back(Held{id, frame->seq, std::move(*request)});
     } else {
       submit(id, frame->seq, std::move(*request));
@@ -311,7 +311,7 @@ void HubServer::submit(std::uint64_t conn_id, std::uint32_t seq,
 }
 
 void HubServer::submit_held() {
-  if (paused_.load(std::memory_order_relaxed)) return;  // re-paused since
+  if (holding_.load(std::memory_order_relaxed)) return;  // held again since
   std::vector<Held> held;
   held.swap(held_);
   for (Held& h : held) submit(h.conn_id, h.seq, std::move(h.request));
@@ -335,10 +335,10 @@ void HubServer::graceful_drain() {
   acceptor_.close();
   draining_ = true;
   // Phase 1: every submitted request is answered, held ones included (a
-  // paused server must still drain). Replies arrive through defer(), so
+  // holding server must still drain). Replies arrive through defer(), so
   // the loop keeps polling; they point into this server, so no deadline
   // cuts this wait short.
-  paused_.store(false, std::memory_order_relaxed);
+  holding_.store(false, std::memory_order_relaxed);
   submit_held();
   while (outstanding_ > 0) loop_.poll(10);
   // Phase 2: flush every write queue until empty or the deadline passes.

@@ -121,15 +121,15 @@ class HubServer {
   /// Stops a serve() in progress. Async-signal-safe.
   void request_stop() { loop_.request_stop(); }
 
-  /// Test hook: while paused, decoded requests are held on the I/O thread
-  /// instead of submitted, so they pile up against the inflight budget
-  /// deterministically. Unpausing submits them in arrival order.
-  void pause_dispatch(bool paused);
+  /// Test hook: while holding, decoded requests stay on the I/O thread
+  /// instead of being submitted, so they pile up against the inflight
+  /// budget deterministically. Releasing submits them in arrival order.
+  void hold_requests(bool hold);
 
   [[nodiscard]] Stats stats() const;
 
  private:
-  /// A decoded request held while dispatch is paused.
+  /// A decoded request held by hold_requests().
   struct Held {
     std::uint64_t conn_id = 0;
     std::uint32_t seq = 0;
@@ -162,7 +162,7 @@ class HubServer {
   bool draining_ = false;  ///< I/O thread only: reject new work, flush out
   /// I/O thread only: submitted requests whose response is not delivered.
   std::size_t outstanding_ = 0;
-  std::atomic<bool> paused_{false};
+  std::atomic<bool> holding_{false};
   std::vector<Held> held_;  ///< I/O thread only, in arrival order
 
   // Telemetry (plain counters; read from any thread).

@@ -1,7 +1,6 @@
 // The execution-engine boundary (src/evm/engine.hpp): registry contents
-// and ordering, unknown-name rejection, legacy-flag mapping, per-call
-// override precedence (observable through the translation-cache counters),
-// profile projection, host-callback forwarding, N-way pairwise engine
+// and ordering, unknown-name rejection, legacy-flag mapping, profile
+// projection, host-callback forwarding, N-way pairwise engine
 // equivalence, and registering a fourth engine at runtime.
 #include <gtest/gtest.h>
 
@@ -27,7 +26,6 @@ Bytes add_program() {
 }
 
 ExecResult run(const VmConfig& config, const Bytes& code,
-               std::string engine_override = {},
                std::shared_ptr<CodeCache> cache = nullptr) {
   channel::SensorBank sensors;
   sensors.set_reading(7, U256{22});
@@ -35,7 +33,6 @@ ExecResult run(const VmConfig& config, const Bytes& code,
   Vm vm{config, std::move(cache)};
   Message msg;
   msg.code = code;
-  msg.engine = std::move(engine_override);
   return vm.execute(host, msg);
 }
 
@@ -73,15 +70,6 @@ TEST(EngineRegistry, UnknownNamesAreRejectedEverywhere) {
   VmConfig config = VmConfig::tiny();
   config.engine = "no-such-engine";
   EXPECT_THROW(Vm{config}, std::invalid_argument);
-
-  // Per-call override with an unknown name throws from execute().
-  channel::SensorBank sensors;
-  channel::DeviceHost host(sensors, VmConfig::tiny());
-  Vm vm{VmConfig::tiny()};
-  Message msg;
-  msg.code = add_program();
-  msg.engine = "no-such-engine";
-  EXPECT_THROW((void)vm.execute(host, msg), std::invalid_argument);
 }
 
 TEST(EngineRegistry, EngineNamesSelectEngines) {
@@ -95,31 +83,6 @@ TEST(EngineRegistry, EngineNamesSelectEngines) {
     config.engine = name;
     EXPECT_EQ(Vm{config}.engine_name(), name);
   }
-}
-
-TEST(EngineRegistry, PerCallOverrideBeatsTheConfiguredDefault) {
-  // The raw engine never consults the translation cache, so the cache's
-  // lookup counter tells us which engine actually ran.
-  const Bytes code = add_program();
-
-  auto cache = std::make_shared<CodeCache>();
-  VmConfig config = VmConfig::tiny();
-  config.engine = kElidedEngine;
-  const ExecResult overridden =
-      run(config, code, std::string(kRawEngine), cache);
-  EXPECT_TRUE(overridden.ok());
-  EXPECT_EQ(cache->stats().lookups, 0u) << "override did not reach raw";
-
-  const ExecResult defaulted = run(config, code, {}, cache);
-  EXPECT_TRUE(defaulted.ok());
-  EXPECT_EQ(cache->stats().lookups, 1u) << "default engine did not run";
-
-  // And the mirror image: a raw default overridden to a translating engine.
-  auto cache2 = std::make_shared<CodeCache>();
-  VmConfig raw_config = VmConfig::tiny();
-  raw_config.engine = kRawEngine;
-  (void)run(raw_config, code, std::string(kElidedEngine), cache2);
-  EXPECT_EQ(cache2->stats().lookups, 1u);
 }
 
 TEST(EngineProfileTest, FromConfigProjectsTheSemanticsFields) {
@@ -201,7 +164,7 @@ TEST(EngineDifferential, PairwiseSweepAcrossTheRegistry) {
         VmConfig run_config = config;
         run_config.engine = engine;
         results.push_back(
-            run(run_config, programs[p], {}, std::make_shared<CodeCache>()));
+            run(run_config, programs[p], std::make_shared<CodeCache>()));
       }
       for (std::size_t i = 0; i < results.size(); ++i) {
         for (std::size_t j = i + 1; j < results.size(); ++j) {

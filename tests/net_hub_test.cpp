@@ -484,25 +484,25 @@ TEST_F(NetHubLoopback, BackpressureAnswersBusyPastTheBudget) {
   ASSERT_TRUE(opened.has_value());
   ASSERT_EQ(opened->status, HubStatus::Ok);
 
-  // Hold the dispatcher so decoded requests pile up against the inflight
-  // budget instead of being answered as fast as they arrive.
-  server_->pause_dispatch(true);
+  // Hold decoded requests on the I/O thread so they pile up against the
+  // inflight budget instead of being answered as fast as they arrive.
+  server_->hold_requests(true);
   const auto update = make_update(car, U256{2});
   for (std::uint32_t seq = 201; seq <= 208; ++seq) {
     ASSERT_TRUE(client.send_raw(encode_request(HubRequest{update}, seq)));
   }
 
   // 8 pipelined requests against a budget of 4: exactly 4 immediate Busy
-  // rejections from the I/O thread, then — once the dispatcher resumes —
-  // the 4 queued requests are served (one applies; the identical replays
-  // fail log validation).
+  // rejections from the I/O thread, then — once the held requests are
+  // released to the hub — the 4 queued requests are served (one applies;
+  // the identical replays fail log validation).
   std::size_t busy = 0;
   std::size_t ok = 0;
   std::size_t bad_state = 0;
   for (int i = 0; i < 8; ++i) {
     if (i == 4) {
-      EXPECT_EQ(busy, 4u);  // the Busy frames never waited on the pause
-      server_->pause_dispatch(false);
+      EXPECT_EQ(busy, 4u);  // the Busy frames never waited on the hold
+      server_->hold_requests(false);
     }
     const auto reply = client.recv();
     ASSERT_TRUE(reply.has_value()) << i;
@@ -604,10 +604,10 @@ TEST_F(NetHubLoopback, GracefulDrainDeliversQueuedResponses) {
   const auto open = car.open_request(U256{1}, kRate, kDev);
   ASSERT_TRUE(open.has_value());
 
-  // Park the request behind a paused dispatcher, then stop the server:
-  // the graceful drain must finish the batch and flush the response
-  // before tearing the connection down.
-  server_->pause_dispatch(true);
+  // Hold the request on the I/O thread, then stop the server: the
+  // graceful drain must submit it, wait for its answer and flush the
+  // response before tearing the connection down.
+  server_->hold_requests(true);
   ASSERT_TRUE(client.send_raw(encode_request(HubRequest{*open}, 31)));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   stop();

@@ -180,7 +180,7 @@ int main(int argc, char** argv) {
 
   ChannelHub::Config hub_config;
   hub_config.workers = workers;
-  hub_config.engine = engine;
+  hub_config.vm_config.engine = engine;
   hub_config.batch_max = batch_max;
   ChannelHub hub("hubd", PrivateKey::from_seed(key_seed), keccak256(anchor),
                  hub_config);

@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
 
   ChannelHub::Config config;
   config.workers = workers;
-  config.engine = engine;
+  config.vm_config.engine = engine;
   ChannelHub hub("stats", PrivateKey::from_seed("stats-hub-key"),
                  keccak256("stats-anchor"), config);
   hub.set_sensor_default(kDev, U256{21});
