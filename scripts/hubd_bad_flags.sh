@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Flag-check smoke for tinyevm-hubd: every bad numeric option must exit 2
-# with a message before the daemon binds (no port file appears). A value
-# that slips through would hang the daemon or abort it instead.
+# Flag-check smoke for tinyevm-hubd: every bad numeric option, and an
+# unknown engine name, must exit 2 with a message before the daemon binds
+# (no port file appears). A value that slips through would hang the daemon
+# or abort it instead.
 # Usage: hubd_bad_flags.sh <hubd>
 set -uo pipefail
 
@@ -39,6 +40,7 @@ check --port 0 --inflight ''
 check --port 0 --drain-ms -5
 check --port 0 --sensor 7=abc
 check --port 0 --sensor -7=21
+check --port 0 --engine bogus
 
 [ "$fail" -eq 0 ] || exit 1
 echo "bad flags ok"

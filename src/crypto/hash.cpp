@@ -199,17 +199,19 @@ void Sha256::update(std::span<const std::uint8_t> data) {
 
 Hash256 Sha256::finalize() {
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update({&pad, 1});
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) {
-    update({&zero, 1});
+  // Pad in place: 0x80, zeros up to byte 56 of a block (spilling into a
+  // second block when fewer than 9 bytes are left), then the bit length.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
   }
-  std::array<std::uint8_t, 8> len_bytes;
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
   for (unsigned i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> ((7 - i) * 8));
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> ((7 - i) * 8));
   }
-  update(len_bytes);
+  process_block(buffer_.data());
 
   Hash256 out;
   for (unsigned i = 0; i < 8; ++i) {
@@ -232,13 +234,12 @@ Hash256 sha256(std::string_view data) {
       std::span{reinterpret_cast<const std::uint8_t*>(data.data()), data.size()});
 }
 
-Hash256 hmac_sha256(std::span<const std::uint8_t> key,
-                    std::span<const std::uint8_t> message) {
+HmacSha256::HmacSha256(std::span<const std::uint8_t> key) {
   std::array<std::uint8_t, 64> block_key{};
   if (key.size() > 64) {
     const Hash256 hashed = sha256(key);
     std::memcpy(block_key.data(), hashed.data(), hashed.size());
-  } else {
+  } else if (!key.empty()) {
     std::memcpy(block_key.data(), key.data(), key.size());
   }
 
@@ -248,16 +249,22 @@ Hash256 hmac_sha256(std::span<const std::uint8_t> key,
     ipad[i] = block_key[i] ^ 0x36;
     opad[i] = block_key[i] ^ 0x5c;
   }
+  inner_.update(ipad);
+  outer_.update(opad);
+}
 
-  Sha256 inner;
-  inner.update(ipad);
+Hash256 HmacSha256::mac(std::span<const std::uint8_t> message) const {
+  Sha256 inner = inner_;
   inner.update(message);
   const Hash256 inner_hash = inner.finalize();
-
-  Sha256 outer;
-  outer.update(opad);
+  Sha256 outer = outer_;
   outer.update(inner_hash);
   return outer.finalize();
+}
+
+Hash256 hmac_sha256(std::span<const std::uint8_t> key,
+                    std::span<const std::uint8_t> message) {
+  return HmacSha256(key).mac(message);
 }
 
 std::string to_hex(std::span<const std::uint8_t> data) {

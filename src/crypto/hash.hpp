@@ -45,6 +45,18 @@ class Sha256 {
   std::size_t buffer_len_ = 0;
 };
 
+/// HMAC-SHA-256 under one key, for many messages: the key's padded blocks
+/// are hashed once, and each mac() starts from those two states.
+class HmacSha256 {
+ public:
+  explicit HmacSha256(std::span<const std::uint8_t> key);
+  [[nodiscard]] Hash256 mac(std::span<const std::uint8_t> message) const;
+
+ private:
+  Sha256 inner_;  // after the key XOR ipad block
+  Sha256 outer_;  // after the key XOR opad block
+};
+
 /// Hex rendering for diagnostics and test vectors ("deadbeef", no prefix).
 [[nodiscard]] std::string to_hex(std::span<const std::uint8_t> data);
 /// Parses bare hex ("0x" prefix allowed); throws std::invalid_argument on

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace tinyevm {
@@ -100,6 +101,26 @@ TEST(Sha256, BoundaryLengths) {
     const std::string a(n, 'z');
     EXPECT_EQ(sha256(a), sha256(a)) << n;
     EXPECT_NE(to_hex(sha256(a)), to_hex(sha256(a + "z"))) << n;
+  }
+}
+
+TEST(Sha256, BoundaryVectors) {
+  // n bytes of 'z' at each edge of the padding: 55 and 119 leave exactly
+  // room for the 0x80 and the length; 56, 63 and 120 push them into one
+  // more block; 64 fills its block, so the padding takes a block of its
+  // own. Digests from Python's hashlib.
+  const std::pair<std::size_t, const char*> cases[] = {
+      {55u, "5a383411d906da80612f366cb9b90ae54bcf6e7743b4117ace0884d98cd159ca"},
+      {56u, "c66a5b692b9a20229733ef8b87cfec52679c86a0c0245643484c46d4dcd82afa"},
+      {63u, "85021e4907c21645631d596eee989bf43c2cd56b074175d5393804dbf1744412"},
+      {64u, "72996563049cc84daa2c3f31fd5c3d10770e69d6ebbb8da5b6d76db303dbae43"},
+      {119u,
+       "de05957e72aca438f9b0c770cb2ee7fa0e58e08eb54536478db136d54c097abb"},
+      {120u,
+       "46a063da7dc0c878899dfc50adf2558256652c05dd1afc0b1341f7608c7a4776"},
+  };
+  for (const auto& [n, want] : cases) {
+    EXPECT_EQ(to_hex(sha256(std::string(n, 'z'))), want) << n;
   }
 }
 

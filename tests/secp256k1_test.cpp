@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <optional>
 #include <random>
@@ -688,6 +689,114 @@ TEST(Secp256k1Reference, FieldProductWhoseFoldCarriesPast2To256) {
   EXPECT_EQ((Fe{a} * Fe{b}).value(), ref::mul_p(a, b));
 }
 
+/// The value of raw limbs, Σ limbs[i]·2^(52·i), reduced mod p with the
+/// generic U256 arithmetic.
+U256 limbs_mod_p(const Fe::Limbs& limbs) {
+  const U256 p = field_prime();
+  const U256 radix = U256{1} << 52;
+  U256 acc{0};
+  for (int i = 4; i >= 0; --i) {
+    acc = U256::addmod(U256::mulmod(acc, radix, p),
+                       U256{limbs[static_cast<std::size_t>(i)]}, p);
+  }
+  return acc;
+}
+
+/// Limbs at the bound of magnitude m: 2m·(2^52 − 1), the top one
+/// 2m·(2^48 − 1).
+Fe::Limbs max_limbs(int m) {
+  const auto k = 2 * static_cast<std::uint64_t>(m);
+  const std::uint64_t m52 = (std::uint64_t{1} << 52) - 1;
+  const std::uint64_t m48 = (std::uint64_t{1} << 48) - 1;
+  return {k * m52, k * m52, k * m52, k * m52, k * m48};
+}
+
+/// Random limbs within the bound of magnitude m.
+Fe::Limbs random_limbs(std::mt19937_64& rng, int m) {
+  Fe::Limbs bound = max_limbs(m);
+  for (auto& limb : bound) limb = rng() % (limb + 1);
+  return bound;
+}
+
+TEST(Secp256k1Reference, LazyReductionAtTheLargestMagnitudes) {
+  // The point formulas feed multiplies with magnitudes up to 8 and never
+  // normalise in between; the kernels must reduce anything within that
+  // bound. Limbs at each bound, all-ones 52-bit limbs (2^256 − 1, above p
+  // at magnitude 1) and random limbs up to the bound.
+  std::mt19937_64 rng(43);
+  const U256 p = field_prime();
+  std::vector<std::pair<Fe::Limbs, int>> inputs;
+  for (int m : {1, 2, 4, 8}) inputs.emplace_back(max_limbs(m), m);
+  inputs.emplace_back(Fe::Limbs{}, 8);
+  for (int i = 0; i < 200; ++i) inputs.emplace_back(random_limbs(rng, 8), 8);
+  for (const auto& [la, ma] : inputs) {
+    const Fe a = Fe::from_limbs(la, ma);
+    const U256 va = limbs_mod_p(la);
+    ASSERT_EQ(a.value(), va);
+    EXPECT_EQ(a.square().value(), U256::mulmod(va, va, p));
+    EXPECT_EQ(a.negate(ma).value(), U256::addmod(p - va, U256{0}, p));
+    EXPECT_EQ(a.half().value(),
+              U256::mulmod(va, (p + U256{1}) >> 1, p));
+    EXPECT_EQ(a.mul_small(3).value(), U256::mulmod(va, U256{3}, p));
+    for (const auto& lb : {max_limbs(8), random_limbs(rng, 8)}) {
+      const Fe b = Fe::from_limbs(lb, 8);
+      const U256 vb = limbs_mod_p(lb);
+      EXPECT_EQ((a * b).value(), U256::mulmod(va, vb, p));
+      EXPECT_EQ((a + b).value(), U256::addmod(va, vb, p));
+      EXPECT_EQ((a + b.negate(8)).value(),
+                U256::addmod(va, (p - vb) % p, p));
+    }
+  }
+}
+
+TEST(Secp256k1Reference, LambdaSplitRecombinesIntoShortHalves) {
+  // k ≡ k1 + λ·k2 (mod n) with both halves within 2^129 of zero.
+  const U256 n = group_order();
+  const U256 lambda = glv_lambda();
+  EXPECT_EQ(U256::mulmod(U256::mulmod(lambda, lambda, n), lambda, n), U256{1});
+  const AffinePoint lambda_g = ref::mul(lambda, generator());
+  const Fe beta = lambda_g.x * generator().x.inverse();
+  EXPECT_EQ(lambda_g.y, generator().y);
+  EXPECT_EQ(beta * beta * beta, Fe{U256{1}});
+
+  std::mt19937_64 rng(47);
+  std::vector<U256> scalars{U256{0}, U256{1},      U256{2},
+                            lambda,  n - lambda,   n - U256{1},
+                            U256{1} << 255,        U256::max()};
+  for (int i = 0; i < 1000; ++i) scalars.push_back(random_u256(rng));
+  const U256 half_bound = U256{1} << 129;
+  auto magnitude = [&](const U256& x) { return std::min(x, n - x); };
+  for (const U256& k : scalars) {
+    const LambdaSplit s = split_lambda(k);
+    ASSERT_LT(s.k1, n) << k.to_hex();
+    ASSERT_LT(s.k2, n) << k.to_hex();
+    EXPECT_EQ(U256::addmod(s.k1, U256::mulmod(lambda, s.k2, n), n), k % n)
+        << k.to_hex();
+    EXPECT_LT(magnitude(s.k1), half_bound) << k.to_hex();
+    EXPECT_LT(magnitude(s.k2), half_bound) << k.to_hex();
+  }
+}
+
+TEST(Secp256k1Reference, SafegcdInversesMatchFermat) {
+  // One constant-time safegcd serves both moduli; Fermat's a^(m−2) is the
+  // oracle, which also maps 0 to 0.
+  std::mt19937_64 rng(53);
+  const U256 p = field_prime();
+  const U256 n = group_order();
+  std::vector<U256> field{U256{0}, U256{1}, U256{2}, p - U256{1}};
+  std::vector<U256> scalars{U256{0}, U256{1}, U256{2}, n - U256{1}};
+  for (int i = 0; i < 1000; ++i) {
+    field.push_back(random_u256(rng) % p);
+    scalars.push_back(random_u256(rng) % n);
+  }
+  for (const U256& v : field) {
+    EXPECT_EQ(Fe{v}.inverse().value(), ref::inv_p(v)) << v.to_hex();
+  }
+  for (const U256& v : scalars) {
+    EXPECT_EQ(inv_mod_n(v), ref::inv_n(v)) << v.to_hex();
+  }
+}
+
 TEST(Secp256k1Reference, EdgeScalarsThroughFixedBaseAndJointMultiply) {
   const AffinePoint q = PrivateKey::from_seed("edge").public_key().point;
   for (const U256& k : edge_scalars()) {
@@ -757,9 +866,11 @@ TEST_P(Secp256k1Differential, SignVerifyRecoverMatchReference) {
 INSTANTIATE_TEST_SUITE_P(Seeded, Secp256k1Differential,
                          ::testing::Range(0, kDifferentialShards));
 
-// The comb table is built on first use behind a function-local static.
-// ctest runs every test in its own process, so here the eight threads race
-// to that first use; the results must equal a serial rerun.
+// The comb table and the joint multiply's G and λG tables are built on
+// first use behind function-local statics. ctest runs every test in its own
+// process, so here the eight threads race to those first uses (the comb in
+// sign, the G tables in verify and recover); the results must equal a
+// serial rerun.
 TEST(Secp256k1Concurrency, FirstUseFromManyThreads) {
   constexpr int kThreads = 8;
   std::vector<PrivateKey> keys;
@@ -769,6 +880,7 @@ TEST(Secp256k1Concurrency, FirstUseFromManyThreads) {
     digests.push_back(keccak256("payment from thread " + std::to_string(t)));
   }
   std::vector<Signature> sigs(kThreads);
+  std::vector<char> verified(kThreads);
   std::vector<std::optional<PublicKey>> recovered(kThreads);
   std::atomic<bool> go{false};
   std::vector<std::thread> threads;
@@ -776,6 +888,7 @@ TEST(Secp256k1Concurrency, FirstUseFromManyThreads) {
     threads.emplace_back([&, t] {
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       sigs[t] = sign(digests[t], keys[t]);
+      verified[t] = verify(digests[t], sigs[t], keys[t].public_key());
       recovered[t] = recover(digests[t], sigs[t]);
     });
   }
@@ -783,6 +896,7 @@ TEST(Secp256k1Concurrency, FirstUseFromManyThreads) {
   for (auto& thread : threads) thread.join();
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(sigs[t], sign(digests[t], keys[t]));
+    EXPECT_TRUE(verified[t]);
     EXPECT_EQ(recovered[t], recover(digests[t], sigs[t]));
     ASSERT_TRUE(recovered[t].has_value());
     EXPECT_EQ(*recovered[t], keys[t].public_key());

@@ -14,6 +14,8 @@
 #include <csignal>
 #include <cstdio>
 #include <limits>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -182,8 +184,16 @@ int main(int argc, char** argv) {
   hub_config.workers = workers;
   hub_config.vm_config.engine = engine;
   hub_config.batch_max = batch_max;
-  ChannelHub hub("hubd", PrivateKey::from_seed(key_seed), keccak256(anchor),
-                 hub_config);
+  // An unknown --engine throws here, before anything binds.
+  std::optional<ChannelHub> hub_slot;
+  try {
+    hub_slot.emplace("hubd", PrivateKey::from_seed(key_seed),
+                     keccak256(anchor), hub_config);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
+  ChannelHub& hub = *hub_slot;
   hub.set_sensor_default(sensor_dev, U256{sensor_val});
   if (!sensor_set) hub.set_sensor_default(7, U256{21});
 

@@ -16,6 +16,8 @@
 //   tinyevm-stats --connect 127.0.0.1:9545 # scrape a live hubd
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -134,8 +136,15 @@ int main(int argc, char** argv) {
   ChannelHub::Config config;
   config.workers = workers;
   config.vm_config.engine = engine;
-  ChannelHub hub("stats", PrivateKey::from_seed("stats-hub-key"),
-                 keccak256("stats-anchor"), config);
+  std::optional<ChannelHub> hub_slot;
+  try {
+    hub_slot.emplace("stats", PrivateKey::from_seed("stats-hub-key"),
+                     keccak256("stats-anchor"), config);
+  } catch (const std::invalid_argument& e) {  // unknown --engine
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
+  ChannelHub& hub = *hub_slot;
   hub.set_sensor_default(kDev, U256{21});
 
   std::vector<ChannelEndpoint> cars;
