@@ -35,6 +35,7 @@ port=$(cat "$dir/port")
 "$STATS" --connect "127.0.0.1:$port" | tee "$dir/scrape.txt" \
   | grep -q "tinyevm_net_accepted_total"
 grep -q "tinyevm_hub_payments_total" "$dir/scrape.txt"
+grep -q "tinyevm_hub_served_inline_total" "$dir/scrape.txt"
 
 # Graceful shutdown: SIGINT, clean exit, drain summary printed.
 kill -INT "$pid"

@@ -363,12 +363,13 @@ ChannelHub::ChannelHub(std::string name, const PrivateKey& key,
       cache_(config.code_cache ? std::move(config.code_cache)
                                : evm::CodeCache::shared_default()),
       pool_(config.workers) {
-  const std::size_t workers = pool_.thread_count();
-  vms_.reserve(workers);
+  // One Vm per worker plus one for the inline run try_serve_here() allows.
+  const std::size_t leases = pool_.thread_count() + 1;
+  vms_.reserve(leases);
   {
     runtime::MutexLock lock(vm_mu_);
-    free_vms_.reserve(workers);
-    for (std::size_t i = 0; i < workers; ++i) {
+    free_vms_.reserve(leases);
+    for (std::size_t i = 0; i < leases; ++i) {
       vms_.push_back(std::make_unique<evm::Vm>(vm_config_, cache_));
       free_vms_.push_back(vms_.back().get());
     }
@@ -400,8 +401,12 @@ ChannelHub::ChannelHub(std::string name, const PrivateKey& key,
                   hub, static_cast<double>(s.sessions));
         out.gauge("tinyevm_hub_open_sessions", "Sessions currently open", hub,
                   static_cast<double>(s.open_sessions));
-        out.gauge("tinyevm_hub_workers", "Worker threads / leased Vm set",
-                  hub, static_cast<double>(worker_count()));
+        out.counter("tinyevm_hub_served_inline_total",
+                    "Requests served on the submitting thread of an idle "
+                    "hub, with no worker hand-off",
+                    hub, static_cast<double>(served_inline()));
+        out.gauge("tinyevm_hub_workers", "Worker threads", hub,
+                  static_cast<double>(worker_count()));
         std::size_t free_vms = 0;
         {
           runtime::MutexLock lock(vm_mu_);
@@ -425,9 +430,10 @@ bool ChannelHub::admit(std::size_t requests) {
   return true;
 }
 
-void ChannelHub::retire() {
+void ChannelHub::retire(std::size_t requests) {
   std::lock_guard lock(lifecycle_mu_);
-  if (--active_requests_ == 0) lifecycle_cv_.notify_all();
+  active_requests_ -= requests;
+  if (active_requests_ == 0) lifecycle_cv_.notify_all();
 }
 
 void ChannelHub::set_sensor_default(std::uint32_t device, const U256& value) {
@@ -604,6 +610,23 @@ void ChannelHub::enqueue(HubRequest request, Reply reply) {
   if (idle) pool_.submit([this, channel_id] { run_mailbox(channel_id); });
 }
 
+bool ChannelHub::try_serve_here(const HubRequest& request,
+                                const Reply& reply) {
+  const U256& channel_id = channel_of(request);
+  {
+    runtime::MutexLock lock(mailboxes_mu_);
+    // Teardown refuses the admission; the caller's submit() answers Busy.
+    if (!mailboxes_.empty() || !admit(1)) return false;
+    // The entry marks the channel running: its next submits queue behind
+    // this request, and no other inline run can start.
+    mailboxes_.try_emplace(channel_id);
+  }
+  served_inline_.fetch_add(1, std::memory_order_relaxed);
+  Pending pending{request, reply, {}};
+  serve_pickup(channel_id, {&pending, 1});
+  return true;
+}
+
 void ChannelHub::run_mailbox(const U256& channel_id) {
   std::vector<Pending> batch;
   {
@@ -615,15 +638,22 @@ void ChannelHub::run_mailbox(const U256& channel_id) {
                  std::make_move_iterator(queue.begin() + take));
     queue.erase(queue.begin(), queue.begin() + take);
   }
+  serve_pickup(channel_id, batch);
+}
+
+void ChannelHub::serve_pickup(const U256& channel_id,
+                              std::span<Pending> batch) {
   pickups_.fetch_add(1, std::memory_order_relaxed);
   evm::Vm& vm = acquire_vm();
   for (Pending& pending : batch) {
-    const auto queue_us = static_cast<std::uint32_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - pending.submitted)
-            .count());
+    const auto queue_us =
+        pending.submitted == std::chrono::steady_clock::time_point{}
+            ? 0u
+            : static_cast<std::uint32_t>(
+                  std::chrono::duration_cast<std::chrono::microseconds>(
+                      std::chrono::steady_clock::now() - pending.submitted)
+                      .count());
     pending.reply(dispatch(pending.request, vm, queue_us));
-    retire();
   }
   release_vm(vm);
   bool more = false;
@@ -637,9 +667,18 @@ void ChannelHub::run_mailbox(const U256& channel_id) {
   // and the pool is alive. The tail of the queue: other channels' mailboxes
   // get their turn first.
   if (more) pool_.submit([this, channel_id] { run_mailbox(channel_id); });
+  // Last: once the batch retires, the destructor may tear the hub down,
+  // and an inline run's thread is not one the pool joins.
+  retire(batch.size());
 }
 
 HubResponse ChannelHub::handle(const HubRequest& request) {
+  HubResponse response;
+  if (try_serve_here(request, [&response](HubResponse r) {
+        response = std::move(r);
+      })) {
+    return response;
+  }
   return std::move(handle_batch({&request, 1}).front());
 }
 

@@ -12,12 +12,13 @@
 //   * `OpenRequest` / `PaymentUpdate` / `CloseRequest` → `HubResponse` —
 //     the explicit wire surface. Endpoints interact with a hub purely
 //     through these serialized SignedState exchanges.
-//   * `ChannelHub` — the server: a worker pool, a bounded per-worker Vm
-//     set, a table of sessions keyed by channel id, and one FIFO mailbox
-//     per channel with queued work. Requests for distinct channels
-//     execute concurrently; requests for one channel are served in submit
-//     order, so results are deterministic (bit-identical logs) at any
-//     worker count.
+//   * `ChannelHub` — the server: a worker pool, a bounded Vm set, a table
+//     of sessions keyed by channel id, and one FIFO mailbox per channel
+//     with queued work. Requests for distinct channels execute
+//     concurrently; requests for one channel are served in submit order,
+//     so results are deterministic (bit-identical logs) at any worker
+//     count. A lone request on an idle hub is served on the thread that
+//     brings it, with no hand-off to the pool.
 //
 // The device-side peripherals (`SensorBank`, `DeviceHost`) live here too:
 // a hub session runs the same template bytecode against the same host
@@ -313,15 +314,19 @@ struct HubResponse {
 
 /// A channel server: one identity (key), many concurrent sessions.
 ///
-/// Every request enters through `submit`, which appends it to its
-/// channel's FIFO mailbox. A mailbox with work is scheduled on the worker
-/// pool at most once at a time: the worker that picks it up serves up to
+/// Requests enter through `submit`, which appends each to its channel's
+/// FIFO mailbox. A mailbox with work is scheduled on the worker pool at
+/// most once at a time: the worker that picks it up serves up to
 /// `Config::batch_max` of its requests in order, answering each as it
 /// finishes, then re-queues the mailbox at the pool's tail if work is
-/// left. `handle` and `handle_batch` are submit-and-wait. Each worker
-/// leases one Vm from a bounded set sized to the pool, so a hub serving
-/// 10k sessions still owns only `workers` interpreters; translations are
-/// shared through the (sharded) CodeCache.
+/// left. `try_serve_here` is the one other way in: when no mailbox is
+/// queued or running, it serves a lone request on the calling thread,
+/// which spares the idle hub a worker wake-up. `handle` tries that first;
+/// `handle_batch` is submit-and-wait. Each pick-up leases one Vm from a
+/// bounded set of `workers` + 1 (the pool plus the one inline run the
+/// idle rule allows), so a hub serving 10k sessions still owns a handful
+/// of interpreters; translations are shared through the (sharded)
+/// CodeCache.
 class ChannelHub {
  public:
   struct Config {
@@ -350,8 +355,9 @@ class ChannelHub {
     std::size_t open_sessions = 0;
   };
 
-  /// Receives one request's response, on the worker that served it (or on
-  /// the submitting thread when the hub is shutting down).
+  /// Receives one request's response on the thread that served it: a
+  /// worker, or the submitting thread when `try_serve_here` found the hub
+  /// idle or when the hub is shutting down.
   using Reply = std::function<void(HubResponse)>;
 
   ChannelHub(std::string name, const PrivateKey& key,
@@ -365,7 +371,9 @@ class ChannelHub {
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] Address address() const { return key_.address(); }
-  [[nodiscard]] std::size_t worker_count() const { return vms_.size(); }
+  [[nodiscard]] std::size_t worker_count() const {
+    return pool_.thread_count();
+  }
   [[nodiscard]] const std::shared_ptr<evm::CodeCache>& code_cache() const {
     return cache_;
   }
@@ -381,7 +389,14 @@ class ChannelHub {
   /// served, and replied to, in submit order.
   void submit(HubRequest request, Reply reply);
 
-  /// submit() and wait for the response.
+  /// Serves `request` on the calling thread and calls `reply` before
+  /// returning true, when the hub is idle: no mailbox queued or running.
+  /// The response's queue_us is 0. Requests submitted for the channel
+  /// meanwhile go to the pool once `reply` returns. Otherwise (or during
+  /// teardown) returns false and changes nothing. Thread-safe.
+  bool try_serve_here(const HubRequest& request, const Reply& reply);
+
+  /// try_serve_here(), else submit() and wait for the response.
   HubResponse handle(const HubRequest& request);
 
   /// Submits every request, in order, and waits for all responses.
@@ -391,10 +406,14 @@ class ChannelHub {
   std::vector<HubResponse> handle_batch(std::span<const HubRequest> requests);
 
   [[nodiscard]] Stats stats() const;
-  /// Worker pick-ups so far: one per mailbox run of up to batch_max
-  /// requests.
+  /// Pick-ups so far: one per mailbox run of up to batch_max requests,
+  /// inline runs included.
   [[nodiscard]] std::uint64_t pickups() const {
     return pickups_.load(std::memory_order_relaxed);
+  }
+  /// Requests try_serve_here() served on the calling thread.
+  [[nodiscard]] std::uint64_t served_inline() const {
+    return served_inline_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::size_t session_count() const;
   /// Snapshot of one session's side-chain log (nullopt: unknown channel).
@@ -419,24 +438,31 @@ class ChannelHub {
   struct Pending {
     HubRequest request;
     Reply reply;
+    /// Default (the clock's epoch) for a request served where it was
+    /// submitted, which waited for nothing.
     std::chrono::steady_clock::time_point submitted;
   };
 
   /// Leases one of the bounded Vm set for a pick-up. Never waits: at most
-  /// `workers` pick-ups run at once, one lease each.
+  /// `workers` pool pick-ups and one inline run hold a lease at once.
   evm::Vm& acquire_vm();
   void release_vm(evm::Vm& vm);
 
   /// Lifecycle gate: counts `requests` as in flight until their replies
   /// return; false (nothing counted) once teardown has begun.
   bool admit(std::size_t requests);
-  /// One admitted request's reply has returned.
-  void retire();
+  /// `requests` admitted requests have been answered and the pick-up
+  /// that served them touches no member again.
+  void retire(std::size_t requests);
   /// Appends an admitted request to its channel's mailbox, scheduling the
   /// mailbox on the pool when it was idle.
   void enqueue(HubRequest request, Reply reply);
   /// One worker pick-up of `channel_id`'s mailbox.
   void run_mailbox(const U256& channel_id);
+  /// Serves `batch`, taken from `channel_id`'s mailbox, on the calling
+  /// thread, then re-queues the mailbox at the pool's tail if work arrived
+  /// meanwhile, or drops it.
+  void serve_pickup(const U256& channel_id, std::span<Pending> batch);
 
   [[nodiscard]] std::shared_ptr<SessionSlot> find_session(
       const U256& channel_id) const;
@@ -468,7 +494,8 @@ class ChannelHub {
       GUARDED_BY(sessions_mu_);
 
   /// Channel id -> requests not yet picked up. An entry exists exactly
-  /// while its mailbox is queued on the pool or being run by a worker.
+  /// while its mailbox is queued on the pool or being run, by a worker or
+  /// inline; an empty map is an idle hub.
   runtime::Mutex mailboxes_mu_;
   std::map<U256, std::deque<Pending>> mailboxes_ GUARDED_BY(mailboxes_mu_);
 
@@ -487,6 +514,7 @@ class ChannelHub {
   std::atomic<std::uint64_t> closes_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> pickups_{0};
+  std::atomic<std::uint64_t> served_inline_{0};
 
   /// Registry instruments shared by every hub with this name (hub.cpp;
   /// interned once in the ctor so the request path never takes the

@@ -28,7 +28,10 @@
 
 namespace tinyevm::evm {
 
-void Frame::run_decoded() {
+// Cache-line aligned so the dispatch tails keep their offsets mod 64
+// wherever the linker puts this file: at the default 16-byte alignment,
+// changes to unrelated code moved corpus_deploy by 3-6%.
+[[gnu::aligned(64)]] void Frame::run_decoded() {
   const DecodedInst* const insts = decoded_->insts.data();
   const std::uint64_t inst_count = decoded_->insts.size();
   const std::uint32_t* const jmap = decoded_->jump_map.data();

@@ -23,7 +23,10 @@
 
 namespace tinyevm::evm {
 
-void Frame::run_threaded() {
+// Cache-line aligned so the dispatch tails keep their offsets mod 64
+// wherever the linker puts this file: at the default 16-byte alignment,
+// changes to unrelated code moved corpus_deploy by 3-6%.
+[[gnu::aligned(64)]] void Frame::run_threaded() {
   const DispatchEntry* const entries = table_.entries.data();
   const std::uint8_t* const code = msg_.code.data();
   const std::uint64_t code_size = msg_.code.size();

@@ -90,7 +90,7 @@ bool HubClient::send_raw(std::span<const std::uint8_t> bytes) {
 
 std::optional<Frame> HubClient::recv_frame() {
   if (!connected()) return std::nullopt;
-  std::array<std::uint8_t, 64 * 1024> chunk{};
+  std::array<std::uint8_t, 64 * 1024> chunk;  // read() fills what it returns
   for (;;) {
     if (auto frame = reader_.next()) return frame;
     if (reader_.error() != FrameError::None) return std::nullopt;
@@ -387,11 +387,14 @@ class ShardRunner {
   }
 
   void on_readable(Session& s) {
-    std::array<std::uint8_t, 64 * 1024> chunk{};
+    std::array<std::uint8_t, 64 * 1024> chunk;  // filled by read()
     for (;;) {
       const ssize_t n = ::read(s.fd.get(), chunk.data(), chunk.size());
       if (n > 0) {
         s.reader.feed({chunk.data(), static_cast<std::size_t>(n)});
+        // A short read emptied the socket; level-triggered epoll reports
+        // whatever arrives later.
+        if (static_cast<std::size_t>(n) < chunk.size()) break;
         continue;
       }
       if (n < 0 && errno == EINTR) continue;

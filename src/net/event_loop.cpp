@@ -63,9 +63,11 @@ void EventLoop::remove(int fd) {
 }
 
 void EventLoop::drain_wake() {
+  // One read returns and resets the whole eventfd counter, however many
+  // writes raised it.
   std::uint64_t counter = 0;
-  while (::read(wake_.get(), &counter, sizeof(counter)) > 0) {
-  }
+  [[maybe_unused]] const ssize_t rc =
+      ::read(wake_.get(), &counter, sizeof(counter));
 }
 
 std::size_t EventLoop::poll(int timeout_ms) {
@@ -99,10 +101,6 @@ std::size_t EventLoop::poll(int timeout_ms) {
   }
   for (auto& fn : deferred) fn();
   return dispatched;
-}
-
-void EventLoop::run() {
-  while (!stop_requested()) poll(-1);
 }
 
 void EventLoop::request_stop() {

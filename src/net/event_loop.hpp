@@ -1,11 +1,12 @@
 // A minimal epoll event loop for the networked hub front-end.
 //
 // One loop == one thread: every fd registered with add() has its callback
-// invoked on the thread running run()/poll(), so connection state needs no
+// invoked on the thread running poll(), so connection state needs no
 // locking as long as it is only touched from callbacks (or from closures
 // handed to defer(), which are executed on the loop thread too). The only
 // cross-thread entry points are defer() and request_stop(); the latter is
 // async-signal-safe so a SIGINT handler can stop a serving loop directly.
+// The owner drives the loop: it calls poll() until stop_requested().
 #pragma once
 
 #include <atomic>
@@ -68,19 +69,14 @@ class EventLoop {
   /// fd events dispatched.
   std::size_t poll(int timeout_ms);
 
-  /// poll(-1) until request_stop(). Deferred closures still run between
-  /// passes, so a stopping loop never strands queued work submitted before
-  /// the stop.
-  void run();
-
-  /// Wakes the loop and makes run() return after the current pass.
+  /// Sets stop_requested() and wakes a poll() in progress.
   /// Async-signal-safe (an atomic store plus an eventfd write).
   void request_stop();
   [[nodiscard]] bool stop_requested() const {
     return stop_.load(std::memory_order_acquire);
   }
-  /// Re-arms a loop whose run() returned so it can be run again (drain
-  /// phases call poll() after the main run).
+  /// Re-arms a stopped loop so its owner can poll it until the next stop
+  /// (drain phases call poll() after the main serving loop).
   void clear_stop() { stop_.store(false, std::memory_order_release); }
 
   /// Queues `fn` to run on the loop thread at the end of the next poll

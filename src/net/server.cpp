@@ -90,7 +90,8 @@ HubServer::HubServer(channel::ChannelHub& hub, Config config)
                     "Connections closed over the write-queue cap", server,
                     static_cast<double>(s.slow_reader_closed));
         out.counter("tinyevm_net_batches_total",
-                    "Hub worker pick-ups (mailbox runs)", server,
+                    "Hub pick-ups (mailbox runs, inline ones included)",
+                    server,
                     static_cast<double>(s.batches));
       });
 }
@@ -105,13 +106,17 @@ void HubServer::serve() {
   loop_.add(acceptor_.fd(), EPOLLIN, [this](std::uint32_t) {
     on_acceptable();
   });
-  loop_.run();
+  // A stop requested before this point is kept by the loop and seen here.
+  while (!loop_.stop_requested()) {
+    loop_.poll(-1);
+    route_decoded();
+  }
   graceful_drain();
 }
 
 void HubServer::hold_requests(bool hold) {
   holding_.store(hold, std::memory_order_relaxed);
-  if (!hold) loop_.defer([this] { submit_held(); });
+  if (!hold) loop_.defer([this] { route_decoded(); });
 }
 
 HubServer::Stats HubServer::stats() const {
@@ -163,7 +168,7 @@ void HubServer::on_connection_event(std::uint64_t id, std::uint32_t events) {
 
 void HubServer::on_readable(Connection& conn) {
   const std::uint64_t id = conn.id;
-  std::array<std::uint8_t, 64 * 1024> chunk{};
+  std::array<std::uint8_t, 64 * 1024> chunk;  // read() fills what it returns
   for (;;) {
     const ssize_t n = ::read(conn.fd.get(), chunk.data(), chunk.size());
     if (n > 0) {
@@ -171,6 +176,10 @@ void HubServer::on_readable(Connection& conn) {
                           std::memory_order_relaxed);
       conn.reader.feed({chunk.data(), static_cast<std::size_t>(n)});
       if (!drain_frames(conn)) return;  // closed on protocol error
+      // A short read emptied the socket. Epoll is level-triggered, so
+      // bytes that arrive later raise a new event; reading again now
+      // would only fail with EAGAIN.
+      if (static_cast<std::size_t>(n) < chunk.size()) return;
       continue;
     }
     if (n == 0) {  // peer closed
@@ -222,13 +231,7 @@ bool HubServer::drain_frames(Connection& conn) {
       continue;
     }
     ++conn.inflight;
-    // Behind held requests even once released, so a channel's requests
-    // reach the hub in arrival order.
-    if (holding_.load(std::memory_order_relaxed) || !held_.empty()) {
-      held_.push_back(Held{id, frame->seq, std::move(*request)});
-    } else {
-      submit(id, frame->seq, std::move(*request));
-    }
+    decoded_.push_back(Decoded{id, frame->seq, std::move(*request)});
   }
   if (conn.reader.error() != FrameError::None) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
@@ -298,27 +301,38 @@ void HubServer::close_connection(std::uint64_t id) {
   open_connections_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-void HubServer::submit(std::uint64_t conn_id, std::uint32_t seq,
-                       channel::HubRequest request) {
-  ++outstanding_;
-  hub_.submit(std::move(request),
-              [this, conn_id, seq](channel::HubResponse response) {
-                loop_.defer([this, conn_id,
-                             encoded = encode_response(response, seq)] {
-                  deliver(conn_id, encoded);
+void HubServer::route_decoded() {
+  if (decoded_.empty() || holding_.load(std::memory_order_relaxed)) return;
+  // A lone request on an idle hub is served right here, and its response
+  // is queued at once: no worker wakes, and no eventfd write wakes this
+  // thread again for the reply.
+  if (decoded_.size() == 1) {
+    const Decoded& only = decoded_.front();
+    if (hub_.try_serve_here(
+            only.request, [this, conn_id = only.conn_id,
+                           seq = only.seq](channel::HubResponse response) {
+              deliver(conn_id, encode_response(response, seq));
+            })) {
+      decoded_.clear();
+      return;
+    }
+  }
+  for (Decoded& d : decoded_) {
+    ++outstanding_;
+    hub_.submit(std::move(d.request),
+                [this, conn_id = d.conn_id,
+                 seq = d.seq](channel::HubResponse response) {
+                  loop_.defer([this, conn_id,
+                               encoded = encode_response(response, seq)] {
+                    --outstanding_;
+                    deliver(conn_id, encoded);
+                  });
                 });
-              });
-}
-
-void HubServer::submit_held() {
-  if (holding_.load(std::memory_order_relaxed)) return;  // held again since
-  std::vector<Held> held;
-  held.swap(held_);
-  for (Held& h : held) submit(h.conn_id, h.seq, std::move(h.request));
+  }
+  decoded_.clear();
 }
 
 void HubServer::deliver(std::uint64_t conn_id, const Bytes& encoded) {
-  --outstanding_;
   const auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;  // connection died while in the hub
   Connection& conn = *it->second;
@@ -334,12 +348,12 @@ void HubServer::graceful_drain() {
   loop_.remove(acceptor_.fd());
   acceptor_.close();
   draining_ = true;
-  // Phase 1: every submitted request is answered, held ones included (a
-  // holding server must still drain). Replies arrive through defer(), so
-  // the loop keeps polling; they point into this server, so no deadline
-  // cuts this wait short.
+  // Phase 1: every decoded request is answered, held ones included (a
+  // holding server must still drain). Replies from the pool arrive through
+  // defer(), so the loop keeps polling; they point into this server, so
+  // no deadline cuts this wait short.
   holding_.store(false, std::memory_order_relaxed);
-  submit_held();
+  route_decoded();
   while (outstanding_ > 0) loop_.poll(10);
   // Phase 2: flush every write queue until empty or the deadline passes.
   const auto flushed = [this] {

@@ -2,13 +2,20 @@
 // protocol and feeds decoded requests to a ChannelHub.
 //
 // Threading model — the server owns one thread, the I/O thread (whoever
-// calls serve()). It runs the EventLoop: it accepts, reads, decodes
-// frames, writes responses, and owns every Connection outright. Each
-// decoded request goes straight to ChannelHub::submit, which queues it on
-// its channel's mailbox on the hub's worker pool. The worker that serves
-// it encodes the response and hands the bytes back to the I/O thread via
-// EventLoop::defer, so a response leaves as soon as it is ready,
-// independent of other channels' work.
+// calls serve()). It polls the EventLoop: it accepts, reads, decodes
+// frames, writes responses, and owns every Connection outright. The
+// requests decoded in one poll round are routed together once the round
+// ends:
+//
+//   * a round with exactly one request goes to ChannelHub::try_serve_here
+//     first. When the hub is idle (no mailbox queued or running), the I/O
+//     thread serves it itself and queues the response directly: no worker
+//     wakes and no eventfd round trip brings the reply back;
+//   * every other request goes to ChannelHub::submit, in arrival order,
+//     which queues it on its channel's mailbox on the hub's worker pool.
+//     The worker that serves it encodes the response and hands the bytes
+//     back to the I/O thread via EventLoop::defer, so a response leaves as
+//     soon as it is ready, independent of other channels' work.
 //
 // Backpressure is per connection and two-sided:
 //
@@ -102,7 +109,7 @@ class HubServer {
     std::uint64_t busy_rejections = 0;
     std::uint64_t protocol_errors = 0;
     std::uint64_t slow_reader_closed = 0;
-    std::uint64_t batches = 0;  ///< the hub's worker pick-ups
+    std::uint64_t batches = 0;  ///< the hub's pick-ups, inline ones too
   };
 
   HubServer(channel::ChannelHub& hub, Config config);
@@ -122,15 +129,16 @@ class HubServer {
   void request_stop() { loop_.request_stop(); }
 
   /// Test hook: while holding, decoded requests stay on the I/O thread
-  /// instead of being submitted, so they pile up against the inflight
-  /// budget deterministically. Releasing submits them in arrival order.
+  /// instead of being routed to the hub, so they pile up against the
+  /// inflight budget deterministically. Releasing routes them in arrival
+  /// order.
   void hold_requests(bool hold);
 
   [[nodiscard]] Stats stats() const;
 
  private:
-  /// A decoded request held by hold_requests().
-  struct Held {
+  /// A decoded request not yet routed to the hub.
+  struct Decoded {
     std::uint64_t conn_id = 0;
     std::uint32_t seq = 0;
     channel::HubRequest request;
@@ -146,10 +154,10 @@ class HubServer {
   void flush_writes(Connection& conn);
   void update_interest(Connection& conn);
   void close_connection(std::uint64_t id);
-  /// Hands one request to the hub; its reply defers deliver().
-  void submit(std::uint64_t conn_id, std::uint32_t seq,
-              channel::HubRequest request);
-  void submit_held();
+  /// Hands every decoded request to the hub, in arrival order (unless
+  /// holding): a lone one to try_serve_here, whose reply delivers at once,
+  /// the rest to submit, whose replies defer deliver().
+  void route_decoded();
   void deliver(std::uint64_t conn_id, const Bytes& encoded);
   void graceful_drain();
 
@@ -163,7 +171,7 @@ class HubServer {
   /// I/O thread only: submitted requests whose response is not delivered.
   std::size_t outstanding_ = 0;
   std::atomic<bool> holding_{false};
-  std::vector<Held> held_;  ///< I/O thread only, in arrival order
+  std::vector<Decoded> decoded_;  ///< I/O thread only, in arrival order
 
   // Telemetry (plain counters; read from any thread).
   std::atomic<std::uint64_t> accepted_{0};

@@ -235,6 +235,45 @@ TEST(ChannelHub, BoundedVmSetMatchesWorkerCount) {
   EXPECT_EQ(single->worker_count(), 1u);
 }
 
+TEST(ChannelHub, LoneRequestOnAnIdleHubRunsOnTheCaller) {
+  auto hub = make_hub(2);
+  auto car = make_car();
+  const auto open = car.open_request(U256{1}, kRate, kDev);
+  ASSERT_TRUE(open.has_value());
+
+  // handle() on an idle hub serves the request itself: no queue wait, one
+  // inline pick-up.
+  const auto inline_before = hub->served_inline();
+  const auto pickups_before = hub->pickups();
+  const auto opened = hub->handle(*open);
+  ASSERT_EQ(opened.status, HubStatus::Ok);
+  EXPECT_TRUE(car.apply(opened));
+  EXPECT_EQ(opened.queue_us, 0u);
+  EXPECT_EQ(hub->served_inline(), inline_before + 1);
+  EXPECT_EQ(hub->pickups(), pickups_before + 1);
+
+  // The reply runs on the calling thread, before try_serve_here returns.
+  const auto update = car.propose_payment(U256{2});
+  ASSERT_TRUE(update.has_value());
+  std::thread::id replied_on;
+  HubResponse paid;
+  ASSERT_TRUE(hub->try_serve_here(*update, [&](HubResponse response) {
+    replied_on = std::this_thread::get_id();
+    paid = std::move(response);
+  }));
+  EXPECT_EQ(replied_on, std::this_thread::get_id());
+  ASSERT_EQ(paid.status, HubStatus::Ok);
+  EXPECT_EQ(paid.queue_us, 0u);
+  EXPECT_TRUE(car.apply(paid));
+  EXPECT_EQ(hub->served_inline(), inline_before + 2);
+
+  // handle_batch() never serves inline, even a batch of one.
+  const HubRequest close = car.close_request();
+  ASSERT_EQ(hub->handle_batch({&close, 1})[0].status, HubStatus::Ok);
+  EXPECT_EQ(hub->served_inline(), inline_before + 2);
+  EXPECT_TRUE(hub->audit_all());
+}
+
 // ---------------------------------------------------------------------------
 // Concurrency (runs under TSan in CI)
 // ---------------------------------------------------------------------------
@@ -289,7 +328,7 @@ TEST(ChannelHubConcurrency, ParallelSessionsStayConsistent) {
 
 TEST(ChannelHubConcurrency, ConcurrentDirectHandlesShareTheVmSet) {
   constexpr std::size_t kThreads = 8;
-  auto hub = make_hub(2);  // 2 Vms, 8 caller threads: leases must queue
+  auto hub = make_hub(2);  // 3 Vms, 8 caller threads: leases must queue
   std::vector<std::thread> threads;
   std::array<HubResponse, kThreads> responses;
   for (std::size_t t = 0; t < kThreads; ++t) {
@@ -470,6 +509,104 @@ TEST(ChannelHubConcurrency, SubmitKeepsPerChannelOrderAcrossThreads) {
   }
   EXPECT_TRUE(hub->audit_all());
   EXPECT_EQ(hub->stats().open_sessions, 0u);
+}
+
+TEST(ChannelHubConcurrency, InlineRunKeepsPerChannelOrder) {
+  // One worker. Channel X's first payment runs inline on its own thread
+  // and is held inside its reply. Meanwhile another thread submits X's
+  // second payment and channel Y's first. The pool's one worker must serve
+  // Y while X's inline run still holds a Vm (the set is workers + 1), and
+  // X's second payment must wait for its first, then run on the pool.
+  const Exchange ex = build_exchange(2, 2);
+  if (::testing::Test::HasFailure()) return;
+  constexpr std::size_t kX = 0;
+  constexpr std::size_t kY = 1;
+  auto hub = make_hub(1);
+  for (const auto& response : hub->handle_batch(ex.opens)) {
+    ASSERT_EQ(response.status, HubStatus::Ok);
+  }
+
+  struct Answer {
+    HubResponse response;
+    std::thread::id thread;
+    bool done = false;
+  };
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::array<Answer, 3> answers;  // X's first, X's second, Y's first
+  const auto record = [&](std::size_t i, HubResponse response) {
+    std::lock_guard lock(mu);
+    answers[i] = Answer{std::move(response), std::this_thread::get_id(), true};
+    cv.notify_all();
+  };
+
+  const ChannelHub::Reply hold_x_first = [&](HubResponse r) {
+    record(0, std::move(r));
+    std::unique_lock lock(mu);
+    cv.wait(lock, [&] { return release; });
+  };
+  std::thread inline_run([&] {
+    // handle_batch() returns once the replies are out, and the worker may
+    // still be closing its pick-up: wait for the hub to go idle.
+    while (!hub->try_serve_here(ex.rounds[0][kX], hold_x_first)) {
+      std::this_thread::yield();
+    }
+  });
+  const std::thread::id inline_thread = inline_run.get_id();
+  {
+    std::unique_lock lock(mu);
+    cv.wait(lock, [&] { return answers[0].done; });
+  }
+  // The hub is not idle now: a second inline run is refused untouched.
+  const auto inline_count = hub->served_inline();
+  EXPECT_FALSE(hub->try_serve_here(ex.rounds[0][kY], [](HubResponse) {
+    ADD_FAILURE() << "a refused request was answered";
+  }));
+  EXPECT_EQ(hub->served_inline(), inline_count);
+
+  std::thread submitter([&] {
+    hub->submit(ex.rounds[1][kX], [&](HubResponse r) { record(1, r); });
+    hub->submit(ex.rounds[0][kY], [&](HubResponse r) { record(2, r); });
+  });
+  submitter.join();
+  bool y_served_while_held = false;
+  bool x_second_done_while_held = true;
+  {
+    std::unique_lock lock(mu);
+    y_served_while_held = cv.wait_for(lock, std::chrono::seconds(60),
+                                      [&] { return answers[2].done; });
+    x_second_done_while_held = answers[1].done;
+    release = true;
+    cv.notify_all();
+  }
+  inline_run.join();
+  EXPECT_TRUE(y_served_while_held);
+  EXPECT_FALSE(x_second_done_while_held);
+  {
+    std::unique_lock lock(mu);
+    cv.wait(lock, [&] { return answers[1].done && answers[2].done; });
+  }
+
+  for (const auto& answer : answers) {
+    ASSERT_EQ(answer.response.status, HubStatus::Ok)
+        << to_string(answer.response.status);
+  }
+  EXPECT_EQ(answers[0].thread, inline_thread);
+  EXPECT_EQ(answers[0].response.queue_us, 0u);
+  EXPECT_NE(answers[1].thread, inline_thread);  // back on the pool
+  EXPECT_NE(answers[2].thread, inline_thread);
+  EXPECT_TRUE(*answers[0].response.state == ex.reference_logs[kX].entries()[0]);
+  EXPECT_TRUE(*answers[1].response.state == ex.reference_logs[kX].entries()[1]);
+  EXPECT_TRUE(*answers[2].response.state == ex.reference_logs[kY].entries()[0]);
+
+  ASSERT_EQ(hub->handle(ex.rounds[1][kY]).status, HubStatus::Ok);
+  for (const std::size_t c : {kX, kY}) {
+    const auto log = hub->session_log(ex.ids[c]);
+    ASSERT_TRUE(log.has_value()) << c;
+    expect_logs_equal(*log, ex.reference_logs[c]);
+  }
+  EXPECT_TRUE(hub->audit_all());
 }
 
 // The acceptance criterion: >= 1,000 concurrent sessions, bit-identical

@@ -7,7 +7,9 @@
 //     open/pay/close round trips, pipelined correlation, malformed and
 //     oversized frames closing the connection, deterministic backpressure
 //     Busy behavior, a late payment not held behind another channel's
-//     burst, the remote stats scrape, and graceful-drain delivery. Runs
+//     burst, a lone request served on the I/O thread while a pipelined
+//     burst goes to the pool, the remote stats scrape, and graceful-drain
+//     delivery. Runs
 //     under TSan in CI (the I/O thread, the hub's workers and the test
 //     thread).
 //   * NetHubShutdown — ChannelHub destruction racing a live handle_batch:
@@ -27,6 +29,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "channel/hub.hpp"
@@ -114,6 +117,18 @@ std::vector<PaymentUpdate> chained_payments(ChannelEndpoint& car,
     updates.push_back(std::move(update));
   }
   return updates;
+}
+
+/// The value of one series — its name and labels exactly as scraped — in
+/// a Prometheus scrape over `client`; -1 when the scrape or series is
+/// missing.
+double scraped(HubClient& client, const std::string& series) {
+  const auto text = client.scrape(StatsRequest::Format::Prometheus);
+  if (!text) return -1.0;
+  const std::string line_start = "\n" + series + " ";
+  const auto at = text->find(line_start);
+  if (at == std::string::npos) return -1.0;
+  return std::stod(text->substr(at + line_start.size()));
 }
 
 // ---------------------------------------------------------------------------
@@ -575,6 +590,57 @@ TEST_F(NetHubLoopback, LatePaymentIsNotHeldBehindABusySession) {
   EXPECT_EQ(b_reply->status, HubStatus::Ok);
   EXPECT_LT(b_arrived, a_arrived[kBurst - 1])
       << "channel B's payment waited for channel A's whole burst";
+}
+
+TEST_F(NetHubLoopback, LoneRequestIsServedWithoutAHandOff) {
+  start();
+  auto client = connect();
+  auto car_a = make_car(0);
+  auto car_b = make_car(1);
+  for (auto [car, id] : {std::pair{&car_a, U256{1}}, std::pair{&car_b, U256{2}}}) {
+    const auto open = car->open_request(id, kRate, kDev);
+    ASSERT_TRUE(open.has_value());
+    const auto opened = client.call(HubRequest{*open});
+    ASSERT_TRUE(opened.has_value());
+    ASSERT_EQ(opened->status, HubStatus::Ok);
+    ASSERT_TRUE(car->apply(*opened));
+  }
+  constexpr std::size_t kPipelined = 32;
+  const auto burst = chained_payments(car_b, U256{2}, kPipelined);
+  const std::string inline_series =
+      "tinyevm_hub_served_inline_total{hub=\"net-hub\"}";
+
+  // One payment on an idle hub: the I/O thread serves it itself.
+  const double before = scraped(client, inline_series);
+  ASSERT_GE(before, 0.0);
+  const auto paid = client.call(HubRequest{make_update(car_a, U256{1})});
+  ASSERT_TRUE(paid.has_value());
+  ASSERT_EQ(paid->status, HubStatus::Ok);
+  EXPECT_EQ(paid->queue_us, 0u);
+  EXPECT_TRUE(car_a.apply(*paid));
+  const double after_lone = scraped(client, inline_series);
+  EXPECT_EQ(after_lone, before + 1);
+
+  // 32 payments in one write reach the server in one read, so one poll
+  // round decodes them all and hands every one to the pool, which answers
+  // them in order.
+  Bytes pipelined;
+  for (std::uint32_t i = 0; i < kPipelined; ++i) {
+    const Bytes frame = encode_request(HubRequest{burst[i]}, i + 1);
+    pipelined.insert(pipelined.end(), frame.begin(), frame.end());
+  }
+  ASSERT_TRUE(client.send_raw(pipelined));
+  for (std::uint32_t i = 0; i < kPipelined; ++i) {
+    const auto reply = client.recv();
+    ASSERT_TRUE(reply.has_value()) << i;
+    EXPECT_EQ(reply->first, i + 1);
+    EXPECT_EQ(reply->second.status, HubStatus::Ok)
+        << i << ": " << to_string(reply->second.status);
+  }
+  EXPECT_EQ(scraped(client, inline_series), after_lone);
+  const auto log = hub_->session_log(U256{2});
+  ASSERT_TRUE(log.has_value());
+  EXPECT_EQ(log->size(), kPipelined);
 }
 
 TEST_F(NetHubLoopback, StatsRequestScrapesOverTheSamePort) {

@@ -2,7 +2,8 @@
 // speaks the src/net frame protocol (RLP message bodies, version byte,
 // per-frame CRC), and submits each decoded request to an in-process
 // ChannelHub, whose workers serve every channel's requests in order from
-// its mailbox, up to --batch-max per pick-up. SIGINT/SIGTERM trigger a
+// its mailbox, up to --batch-max per pick-up. A request that arrives alone
+// while every worker is idle is served on the I/O thread instead. SIGINT/SIGTERM trigger a
 // graceful drain: every submitted request is answered, write queues flush
 // (bounded by --drain-ms), then the process exits 0. A numeric option that
 // is not a whole number in range exits 2 before anything binds.
@@ -74,7 +75,11 @@ void usage() {
       "  --port <n>            TCP port (0 = ephemeral; default 9545)\n"
       "  --bind <addr>         bind address (default 127.0.0.1)\n"
       "  --port-file <path>    write the bound port to this file\n"
-      "  --workers <n>         hub worker threads (default 2)\n"
+      "  --workers <n>         hub worker threads (default 2); the I/O "
+      "thread\n"
+      "                        serves a lone request itself when every "
+      "worker is\n"
+      "                        idle\n"
       "  --engine <name>       hub execution engine (default: profile)\n"
       "  --sensor <dev>=<val>  hub-side sensor default (default 7=21)\n"
       "  --inflight <n>        per-connection request budget (default 64)\n"
@@ -203,7 +208,7 @@ int main(int argc, char** argv) {
   net::HubServer server(hub, server_config);
   // Handlers go in before bind(): once the port file exists a client may
   // signal at once, and a stop requested before serve() is kept by the
-  // event loop until its run() checks it.
+  // event loop until serve() checks it.
   g_server = &server;
   struct sigaction sa{};
   sa.sa_handler = handle_signal;
@@ -232,7 +237,8 @@ int main(int argc, char** argv) {
   const auto h = hub.stats();
   std::printf(
       "drained: conns=%llu frames_in=%llu frames_out=%llu busy=%llu "
-      "protocol_errors=%llu opens=%llu payments=%llu closes=%llu\n",
+      "protocol_errors=%llu opens=%llu payments=%llu closes=%llu "
+      "served_inline=%llu\n",
       static_cast<unsigned long long>(s.accepted),
       static_cast<unsigned long long>(s.frames_in),
       static_cast<unsigned long long>(s.frames_out),
@@ -240,6 +246,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(s.protocol_errors),
       static_cast<unsigned long long>(h.opens),
       static_cast<unsigned long long>(h.payments),
-      static_cast<unsigned long long>(h.closes));
+      static_cast<unsigned long long>(h.closes),
+      static_cast<unsigned long long>(hub.served_inline()));
   return 0;
 }
